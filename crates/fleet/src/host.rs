@@ -12,11 +12,14 @@
 //! order, on any number of threads, and merging their state in host-id
 //! order reproduces the sequential run bit for bit.
 
+use std::sync::Arc;
+
 use luke_common::rng::DetRng;
 use luke_obs::span::{tick_us, trace_id, SpanKind, SpanRing, SpanScope};
 use luke_predict::PredictorBank;
 use luke_obs::{Event, EventKind, EventRing, Histogram, Registry, StartClass, TimeWindows};
-use luke_snapshot::{ColdStartModel, SnapshotStore};
+use luke_snapshot::{ColdStartModel, PageWorkingSet, SnapshotStore};
+use luke_tenancy::{language_slot, FunctionLayout};
 use server::{
     fault_kind_index, AdmissionControl, AdmissionDecision, AttemptCosts, FaultKind, FaultPlan,
     FaultStats, InstancePool, InvocationResult, RetryPolicy,
@@ -25,6 +28,7 @@ use server::{
 use crate::chaos::{HostSchedule, HostState};
 use crate::config::FleetConfig;
 use crate::event::{CalendarQueue, FleetEventKind};
+use crate::route::RoutingPolicy;
 use crate::tenant::HostTenancy;
 use crate::timing::ServiceModel;
 use crate::traffic::Population;
@@ -86,6 +90,54 @@ pub struct HedgeOutcome {
     pub completed: bool,
     /// How this copy's instance was found (cold/lukewarm/warm).
     pub class: StartClass,
+}
+
+/// Read-only tables every host of a run shares. Each is a pure function
+/// of the config, so [`crate::run_fleet`] builds them once and every
+/// [`FleetHost::new`] borrows them instead of rebuilding its own copy.
+/// A feature that is off leaves its table empty, so the default config
+/// allocates nothing here.
+#[derive(Clone, Debug)]
+pub struct HostTables {
+    /// Admission priority class per function (admission on).
+    pub(crate) priorities: Option<Arc<[u8]>>,
+    /// Page working set per suite profile (a snapshot cold-start model).
+    pub(crate) working_sets: Option<Arc<[PageWorkingSet]>>,
+    /// Tenancy page layout per suite profile (some tenancy knob on).
+    pub(crate) layouts: Option<Arc<[FunctionLayout]>>,
+    /// Language slot per suite profile, which placement-aware routing
+    /// scores affinity by (empty under every other policy: the router
+    /// then treats all functions as one language).
+    pub(crate) lang_of: Vec<u8>,
+}
+
+impl HostTables {
+    /// The tables `config` needs. Call `config.validate()` first.
+    pub fn new(config: &FleetConfig) -> Self {
+        let suite = workloads::paper_suite;
+        HostTables {
+            // Priorities are a pure function of the config, so every
+            // host derives the same classes the router would.
+            priorities: config
+                .admission
+                .enabled
+                .then(|| Population::synthesize(config).priorities().into()),
+            working_sets: (config.cold_start_model != ColdStartModel::Instant)
+                .then(|| suite().iter().map(PageWorkingSet::from_profile).collect()),
+            layouts: config
+                .tenancy
+                .enabled()
+                .then(|| suite().iter().map(FunctionLayout::for_profile).collect()),
+            lang_of: if config.policy == RoutingPolicy::PlacementAware {
+                suite()
+                    .iter()
+                    .map(|profile| language_slot(profile.language))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+        }
+    }
 }
 
 /// One host's complete simulation state.
@@ -209,7 +261,8 @@ fn span_capacity(config: &FleetConfig) -> usize {
 }
 
 impl FleetHost {
-    /// Builds host `host_id`. The fault stream is split from the fleet
+    /// Builds host `host_id` over the run's shared `tables` (built from
+    /// the same `config`). The fault stream is split from the fleet
     /// seed per host; all-zero rates get the bit-transparent
     /// [`FaultPlan::none`] so a fault-free fleet never touches fault
     /// RNG state.
@@ -218,18 +271,18 @@ impl FleetHost {
     ///
     /// Panics if `config` is invalid — call `config.validate()` first
     /// (run-level entry points do).
-    pub fn new(config: &FleetConfig, host_id: usize) -> Self {
+    pub fn new(config: &FleetConfig, host_id: usize, tables: &HostTables) -> Self {
         let mut pool = InstancePool::try_new(config.keep_alive_ms)
             .expect("config validated upstream: keep_alive_ms");
         // Snapshot models price each routed cold start as a restore of
-        // the suite profile's page working set; `Instant` leaves the
-        // pool untouched so the pre-snapshot numbers reproduce bit for
-        // bit.
-        if config.cold_start_model != ColdStartModel::Instant {
-            let store = SnapshotStore::for_profiles(
+        // the suite profile's page working set; `Instant` (no working
+        // sets) leaves the pool untouched so the pre-snapshot numbers
+        // reproduce bit for bit.
+        if let Some(working_sets) = &tables.working_sets {
+            let store = SnapshotStore::try_new(
                 config.cold_start_model,
                 config.snapshot_timings,
-                &workloads::paper_suite(),
+                Arc::clone(working_sets),
             )
             .expect("config validated upstream: snapshot_timings");
             pool = pool.with_snapshots(store);
@@ -244,16 +297,10 @@ impl FleetHost {
             FaultPlan::new(seed, config.fault_rates)
                 .expect("config validated upstream: fault_rates")
         };
-        let admission = if config.admission.enabled {
-            // Priorities are a pure function of the config, so every
-            // host derives the same classes the router would.
-            Some(AdmissionControl::new(
-                config.admission,
-                Population::synthesize(config).priorities(),
-            ))
-        } else {
-            None
-        };
+        let admission = tables
+            .priorities
+            .as_ref()
+            .map(|priorities| AdmissionControl::new(config.admission, Arc::clone(priorities)));
         let retry_tokens = if config.retry_budget.is_limited() {
             vec![config.retry_budget.initial_tokens(); config.population]
         } else {
@@ -316,7 +363,7 @@ impl FleetHost {
             } else {
                 Vec::new()
             },
-            tenancy: HostTenancy::new(config),
+            tenancy: HostTenancy::new(config, tables),
         }
     }
 
@@ -1088,6 +1135,10 @@ mod tests {
     use crate::timing::ServiceModel;
     use workloads::paper_suite;
 
+    fn host(config: &FleetConfig) -> FleetHost {
+        FleetHost::new(config, 0, &HostTables::new(config))
+    }
+
     fn setup() -> (FleetConfig, ServiceModel) {
         let config = FleetConfig {
             population: 10,
@@ -1101,7 +1152,7 @@ mod tests {
     #[test]
     fn first_touch_is_cold_then_warm() {
         let (config, model) = setup();
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         let cold = host.process(
             &config,
             &model,
@@ -1125,7 +1176,7 @@ mod tests {
     #[test]
     fn keep_alive_expiry_forces_a_new_cold_start() {
         let (config, model) = setup();
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         host.process(&config, &model, false, RoutedInvocation::new(0.0, 0));
         let later = config.keep_alive_ms + 1000.0;
         host.process(&config, &model, false, RoutedInvocation::new(later, 0));
@@ -1136,7 +1187,7 @@ mod tests {
     #[test]
     fn long_gaps_classify_as_lukewarm_short_as_warm() {
         let (config, model) = setup();
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         // Foreign traffic so the interleaving estimate has pressure.
         for i in 0..2000 {
             let at = i as f64 * 2.0;
@@ -1155,8 +1206,8 @@ mod tests {
     #[test]
     fn jukebox_only_speeds_up_warm_traffic() {
         let (config, model) = setup();
-        let mut base = FleetHost::new(&config, 0);
-        let mut jb = FleetHost::new(&config, 0);
+        let mut base = host(&config);
+        let mut jb = host(&config);
         let mut base_sum = 0.0;
         let mut jb_sum = 0.0;
         for i in 0..500 {
@@ -1171,7 +1222,7 @@ mod tests {
     #[test]
     fn fault_free_hosts_share_no_fault_state() {
         let (config, model) = setup();
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         for i in 0..100 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 10.0, i % 10));
         }
@@ -1190,7 +1241,7 @@ mod tests {
             memory_pressure: 0.2,
         };
         config.validate().unwrap();
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         for i in 0..500 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 10.0, i % 10));
         }
@@ -1221,8 +1272,8 @@ mod tests {
             cold_start_model: ColdStartModel::ReapPrefetch,
             ..config.clone()
         };
-        let mut lazy = FleetHost::new(&lazy_config, 0);
-        let mut reap = FleetHost::new(&reap_config, 0);
+        let mut lazy = host(&lazy_config);
+        let mut reap = host(&reap_config);
         let mut lazy_sum = 0.0;
         let mut reap_sum = 0.0;
         // Space invocations past keep-alive so every one restarts cold;
@@ -1243,7 +1294,7 @@ mod tests {
     #[test]
     fn instant_model_exports_no_snapshot_series() {
         let (config, model) = setup();
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         for i in 0..20 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 10.0, i % 10));
         }
@@ -1262,7 +1313,7 @@ mod tests {
             cold_start_model: ColdStartModel::ReapPrefetch,
             ..config
         };
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         for i in 0..20 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 10.0, i % 10));
         }
@@ -1290,8 +1341,8 @@ mod tests {
             },
             ..config
         };
-        let mut plain = FleetHost::new(&plain_config, 0);
-        let mut warm = FleetHost::new(&prewarm_config, 0);
+        let mut plain = host(&plain_config);
+        let mut warm = host(&prewarm_config);
         // Strict 5 s period, far past the 2 s keep-alive: without
         // prediction every arrival is a cold boot; with it, the
         // periodicity head schedules a pre-restore before each one.
@@ -1318,7 +1369,7 @@ mod tests {
     #[test]
     fn disabled_prewarm_keeps_the_exact_fixed_keep_alive_state() {
         let (config, model) = setup();
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         for i in 0..200 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 25.0, i % 10));
         }
@@ -1346,7 +1397,7 @@ mod tests {
             },
             ..config
         };
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         for i in 0..40 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 5_000.0, 0));
         }
@@ -1361,7 +1412,7 @@ mod tests {
     #[test]
     fn memory_accounting_tracks_the_pool() {
         let (config, model) = setup();
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         for i in 0..50 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 100.0, i % 10));
         }
@@ -1379,7 +1430,7 @@ mod tests {
     #[test]
     fn registry_contribution_is_additive() {
         let (config, model) = setup();
-        let mut host = FleetHost::new(&config, 0);
+        let mut host = host(&config);
         for i in 0..50 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 20.0, i % 10));
         }

@@ -56,7 +56,7 @@ pub use chaos::{ChaosConfig, ChaosPlan, HostSchedule, HostState};
 pub use config::FleetConfig;
 pub use event::{CalendarQueue, FleetEvent, FleetEventKind};
 pub use health::{HealthConfig, HealthStatus, HealthView};
-pub use host::{FleetHost, HedgeOutcome, RoutedInvocation};
+pub use host::{FleetHost, HedgeOutcome, HostTables, RoutedInvocation};
 pub use luke_predict::PrewarmConfig;
 pub use luke_snapshot::{ColdStartModel, SnapshotTimings};
 pub use luke_tenancy::{ContentionConfig, TenancyConfig};

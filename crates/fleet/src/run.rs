@@ -44,7 +44,7 @@ use luke_obs::{
 use crate::chaos::ChaosPlan;
 use crate::config::FleetConfig;
 use crate::health::HealthView;
-use crate::host::{FleetHost, HedgeOutcome, RoutedInvocation};
+use crate::host::{FleetHost, HedgeOutcome, HostTables, RoutedInvocation};
 use crate::route::{Router, RoutingPolicy};
 use crate::timing::ServiceModel;
 use crate::traffic::{ArrivalStream, Population};
@@ -494,22 +494,14 @@ pub fn run_fleet(
     config.validate()?;
 
     let threads = config.threads.min(config.hosts);
+    let tables = HostTables::new(config);
     let mut hosts: Vec<FleetHost> = (0..config.hosts)
-        .map(|id| FleetHost::new(config, id))
+        .map(|id| FleetHost::new(config, id, &tables))
         .collect();
-    // The placement-aware policy scores hosts by same-language affinity,
-    // so it routes with the suite's language table; every other policy
-    // keeps the language-blind constructor (identical state, bit for
-    // bit).
-    let mut router = if config.policy == RoutingPolicy::PlacementAware {
-        let lang_of: Vec<u8> = workloads::paper_suite()
-            .iter()
-            .map(|profile| luke_tenancy::language_slot(profile.language))
-            .collect();
-        Router::with_languages(config.policy, config.hosts, lang_of)
-    } else {
-        Router::new(config.policy, config.hosts)
-    };
+    // The placement-aware policy scores hosts by same-language affinity;
+    // every other policy gets an empty language table, which is exactly
+    // the language-blind router.
+    let mut router = Router::with_languages(config.policy, config.hosts, tables.lang_of);
     let mut route_spans = SpanRing::with_capacity(route_span_capacity(config));
 
     let end_ms = if threads <= 1 {

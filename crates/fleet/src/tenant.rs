@@ -8,18 +8,23 @@
 //! lifecycle in lock-step: every spawn registers the function's page
 //! layout (dedup-aware when enabled), every expiry/eviction releases
 //! it, and a whole-host crash wipes the resident set the way it wipes
-//! the pool. All state is host-local, so fleet runs stay bit-identical
-//! across thread counts.
+//! the pool. All mutable state is host-local, so fleet runs stay
+//! bit-identical across thread counts; the page layouts are a read-only
+//! table shared by every host of a run.
+
+use std::sync::Arc;
 
 use luke_tenancy::{ContentionModel, FunctionLayout, SharedPageStore, TenancyConfig};
 
 use crate::config::FleetConfig;
+use crate::host::HostTables;
 
 /// One host's tenancy state (see module docs).
 #[derive(Clone, Debug)]
 pub struct HostTenancy {
-    /// Page layout per suite profile (`function % layouts.len()`).
-    layouts: Vec<FunctionLayout>,
+    /// Page layout per suite profile (`function % layouts.len()`),
+    /// shared by every host of the run.
+    layouts: Arc<[FunctionLayout]>,
     /// Per logical function: whether its live instance's pages are
     /// currently registered in the store. Mirrors the host's `live`
     /// table so release exactly undoes register.
@@ -39,23 +44,19 @@ pub struct HostTenancy {
 }
 
 impl HostTenancy {
-    /// Builds the host's tenancy state, or `None` when every knob is
-    /// off — the `None` path must stay bit-transparent, so the wrapper
-    /// simply doesn't exist for a disabled config.
-    pub fn new(config: &FleetConfig) -> Option<Self> {
-        if !config.tenancy.enabled() {
-            return None;
-        }
+    /// Builds the host's tenancy state over the run's shared layouts,
+    /// or `None` when every knob is off (the tables then hold no
+    /// layouts) — the `None` path must stay bit-transparent, so the
+    /// wrapper simply doesn't exist for a disabled config.
+    pub fn new(config: &FleetConfig, tables: &HostTables) -> Option<Self> {
+        let layouts = Arc::clone(tables.layouts.as_ref()?);
         let TenancyConfig {
             dedup,
             cow_dirty_fraction,
             contention,
         } = config.tenancy;
         Some(HostTenancy {
-            layouts: workloads::paper_suite()
-                .iter()
-                .map(FunctionLayout::for_profile)
-                .collect(),
+            layouts,
             registered: vec![false; config.population],
             store: SharedPageStore::new(),
             contention: contention.enabled().then(|| ContentionModel::new(&contention)),
@@ -170,6 +171,10 @@ mod tests {
     use super::*;
     use luke_tenancy::ContentionConfig;
 
+    fn tenancy(config: &FleetConfig) -> Option<HostTenancy> {
+        HostTenancy::new(config, &HostTables::new(config))
+    }
+
     fn enabled_config() -> FleetConfig {
         FleetConfig {
             population: 8,
@@ -180,13 +185,13 @@ mod tests {
 
     #[test]
     fn disabled_config_builds_no_state() {
-        assert!(HostTenancy::new(&FleetConfig::default()).is_none());
-        assert!(HostTenancy::new(&enabled_config()).is_some());
+        assert!(tenancy(&FleetConfig::default()).is_none());
+        assert!(tenancy(&enabled_config()).is_some());
     }
 
     #[test]
     fn register_release_round_trips_the_resident_set() {
-        let mut tenancy = HostTenancy::new(&enabled_config()).unwrap();
+        let mut tenancy = tenancy(&enabled_config()).unwrap();
         assert_eq!(tenancy.resident_pages(0), 0);
         let w0 = tenancy.register(0);
         assert!(w0 > 0.0 && w0 <= 1.0);
@@ -212,7 +217,7 @@ mod tests {
 
     #[test]
     fn crash_wipe_clears_residency_but_keeps_counters() {
-        let mut tenancy = HostTenancy::new(&enabled_config()).unwrap();
+        let mut tenancy = tenancy(&enabled_config()).unwrap();
         tenancy.register(0);
         tenancy.register(1);
         let shared = tenancy.shared_pages();
@@ -241,7 +246,7 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let mut tenancy = HostTenancy::new(&config).unwrap();
+        let mut tenancy = tenancy(&config).unwrap();
         assert_eq!(tenancy.slowdown(), 1.0);
         for function in 0..8 {
             tenancy.register(function);
@@ -262,7 +267,7 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let mut tenancy = HostTenancy::new(&config).unwrap();
+        let mut tenancy = tenancy(&config).unwrap();
         tenancy.register(0);
         assert_eq!(tenancy.resident_pages(0), 0, "no discount with dedup off");
         assert!(tenancy.resident_bytes() > 0, "pressure still accrues");

@@ -5,19 +5,26 @@ use crate::config::PrewarmConfig;
 use crate::predictor::Predictor;
 
 /// A bank of per-function predictors plus the policy state derived from
-/// them: the current adaptive keep-alive per function and at most one
-/// pending pre-restore per function.
+/// them: the current adaptive keep-alive per function.
 ///
 /// One bank lives inside each simulated host, fed only by that host's
 /// arrival stream — shard-local state, so the fleet's parallel phase
 /// needs no cross-thread coordination and merges stay deterministic.
+///
+/// A host has the whole population deployed but serves only a few of
+/// its functions, so a function's [`Predictor`] is created on its first
+/// [`PredictorBank::observe`]: predictor memory is O(functions seen),
+/// not O(functions deployed). A function never observed answers exactly
+/// what a fresh predictor would — hold at the cap, nothing scheduled.
 #[derive(Clone, Debug)]
 pub struct PredictorBank {
     config: PrewarmConfig,
     cap_ms: f64,
-    predictors: Vec<Predictor>,
+    /// Per function: its model, once it has seen an arrival. `None` is
+    /// a null pointer, so the table comes from a lazily-faulted zero
+    /// mapping and costs nothing for functions never routed here.
+    predictors: Vec<Option<Box<Predictor>>>,
     holds: Vec<f64>,
-    pending: Vec<Option<f64>>,
     prewarms_scheduled: u64,
     early_decays: u64,
 }
@@ -29,9 +36,8 @@ impl PredictorBank {
         PredictorBank {
             config,
             cap_ms,
-            predictors: vec![Predictor::new(); functions],
+            predictors: vec![None; functions],
             holds: vec![cap_ms; functions],
-            pending: vec![None; functions],
             prewarms_scheduled: 0,
             early_decays: 0,
         }
@@ -51,32 +57,25 @@ impl PredictorBank {
     /// *after* the adaptive keep-alive expires — while the instance
     /// would still be resident, a pre-warm buys nothing.
     ///
-    /// Returns the newly scheduled pre-restore time, if any, so an
-    /// event-driven caller can push a timer instead of polling
-    /// [`PredictorBank::due_prewarms`]. Each observe *replaces* the
-    /// function's pending pre-restore (at most one outstanding), so a
-    /// `Some` return also invalidates any timer from a prior observe.
+    /// Returns the newly scheduled pre-restore time, if any; the caller
+    /// owns the timer. Each observe *replaces* the function's pending
+    /// pre-restore (at most one outstanding), so the return value also
+    /// invalidates any timer from a prior observe, `None` included.
     pub fn observe(&mut self, function: usize, now_ms: f64, restore_est_ms: f64) -> Option<f64> {
-        let predictor = &mut self.predictors[function];
+        let predictor = self.predictors[function].get_or_insert_with(Box::default);
         predictor.observe(now_ms);
         let hold = predictor.hold_ms(&self.config, self.cap_ms);
         if hold < self.cap_ms {
             self.early_decays += 1;
         }
         self.holds[function] = hold;
-        self.pending[function] = match predictor.predicted_iat_ms(&self.config) {
-            Some(iat) => {
-                let t_pre = now_ms + iat - restore_est_ms.max(0.0);
-                if t_pre > now_ms + hold {
-                    self.prewarms_scheduled += 1;
-                    Some(t_pre)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        self.pending[function]
+        let t_pre = now_ms + predictor.predicted_iat_ms(&self.config)? - restore_est_ms.max(0.0);
+        if t_pre > now_ms + hold {
+            self.prewarms_scheduled += 1;
+            Some(t_pre)
+        } else {
+            None
+        }
     }
 
     /// The current adaptive keep-alive per function id, for the pool's
@@ -86,27 +85,10 @@ impl PredictorBank {
         &self.holds
     }
 
-    /// Drains every pre-restore whose scheduled time has arrived, in
-    /// function-id order (deterministic). Each entry is
-    /// `(function, scheduled_ms)`; the caller spawns the restored
-    /// instance as of `scheduled_ms`, which by construction lies
-    /// between the previous and the current arrival.
-    pub fn due_prewarms(&mut self, now_ms: f64) -> Vec<(usize, f64)> {
-        let mut due = Vec::new();
-        for (function, slot) in self.pending.iter_mut().enumerate() {
-            if let Some(t_pre) = *slot {
-                if t_pre <= now_ms {
-                    due.push((function, t_pre));
-                    *slot = None;
-                }
-            }
-        }
-        due
-    }
-
-    /// Read-only view of one function's predictor.
-    pub fn predictor(&self, function: usize) -> &Predictor {
-        &self.predictors[function]
+    /// Read-only view of one function's predictor, or `None` before the
+    /// function's first arrival.
+    pub fn predictor(&self, function: usize) -> Option<&Predictor> {
+        self.predictors[function].as_deref()
     }
 
     /// Pre-restores scheduled so far.
@@ -134,20 +116,20 @@ mod tests {
 
     #[test]
     fn periodic_function_schedules_a_prewarm_after_its_hold() {
-        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 1, 600_000.0);
+        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 2, 600_000.0);
+        let mut scheduled = None;
         for i in 0..8 {
-            bank.observe(0, i as f64 * 5_000.0, 100.0);
+            scheduled = bank.observe(0, i as f64 * 5_000.0, 100.0);
         }
         // Period 5 s, hold floor 1 s: the predicted arrival lands after
-        // expiry, so a pre-restore is pending at 35_000 + 5_000 − 100.
+        // expiry, so the last observe schedules a pre-restore at
+        // 35_000 + 5_000 − 100.
         assert!(bank.prewarms_scheduled() > 0);
-        assert!(bank.due_prewarms(39_000.0).is_empty());
-        let due = bank.due_prewarms(40_000.0);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].0, 0);
-        assert!((due[0].1 - 39_900.0).abs() < 1.0, "scheduled at {}", due[0].1);
-        // Draining is idempotent.
-        assert!(bank.due_prewarms(40_000.0).is_empty());
+        let t_pre = scheduled.expect("periodic arrivals schedule a pre-restore");
+        assert!((t_pre - 39_900.0).abs() < 1.0, "scheduled at {t_pre}");
+        // Only the observed function has a model.
+        assert!(bank.predictor(0).is_some());
+        assert!(bank.predictor(1).is_none());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! shared-nothing determinism contract: no clocks, no randomness.
 
 use luke_common::SimError;
+use std::sync::Arc;
 
 /// Admission-control knobs. [`AdmissionConfig::disabled`] (the default)
 /// is bit-transparent: no controller is constructed and no `admission.*`
@@ -94,7 +95,8 @@ pub enum AdmissionDecision {
 pub struct AdmissionControl {
     config: AdmissionConfig,
     /// Per-function priority class (0 = lowest; loses burst first).
-    priorities: Vec<u8>,
+    /// Read-only, so every host of a fleet shares one table.
+    priorities: Arc<[u8]>,
     /// Outstanding invocations as `(end_ms, function)` pairs; expired
     /// lazily on each arrival. In-flight counts are tiny (per-host rate ×
     /// per-invocation latency), so a flat scan stays cheap.
@@ -108,7 +110,7 @@ pub struct AdmissionControl {
 
 impl AdmissionControl {
     /// Builds a controller for `priorities.len()` functions.
-    pub fn new(config: AdmissionConfig, priorities: Vec<u8>) -> Self {
+    pub fn new(config: AdmissionConfig, priorities: Arc<[u8]>) -> Self {
         let functions = priorities.len();
         AdmissionControl {
             config,
@@ -225,7 +227,7 @@ mod tests {
 
     #[test]
     fn per_function_limit_sheds_above_reserved_plus_burst() {
-        let mut ctl = AdmissionControl::new(config(), vec![2, 0]);
+        let mut ctl = AdmissionControl::new(config(), Arc::from([2, 0]));
         // Three concurrent invocations of function 0 fit (1 reserved + 2
         // burst); the fourth is shed.
         for i in 0..3 {
@@ -245,7 +247,7 @@ mod tests {
             host_concurrency: 2,
             ..config()
         };
-        let mut ctl = AdmissionControl::new(cfg, vec![2, 0]);
+        let mut ctl = AdmissionControl::new(cfg, Arc::from([2, 0]));
         // Saturate the host with the high-priority function.
         ctl.commit(0.0, 0, 1_000.0);
         ctl.commit(0.0, 0, 1_000.0);
@@ -263,7 +265,7 @@ mod tests {
             memory_pressure_instances: 5,
             ..config()
         };
-        let mut ctl = AdmissionControl::new(cfg, vec![1]);
+        let mut ctl = AdmissionControl::new(cfg, Arc::from([1]));
         assert_eq!(ctl.decide(0.0, 0, 4), AdmissionDecision::Admit);
         assert_eq!(ctl.decide(0.0, 0, 5), AdmissionDecision::AdmitDegraded);
         assert_eq!(ctl.admitted(), 2);

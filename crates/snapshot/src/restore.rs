@@ -23,6 +23,7 @@ use luke_common::SimError;
 use luke_obs::{Histogram, Registry};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use workloads::FunctionProfile;
 
 /// How the serving layer prices a cold start's memory bring-up.
@@ -161,6 +162,10 @@ impl SnapshotStats {
 /// Per-function snapshot state for one host: working sets, recorded
 /// metadata, and the restore clock.
 ///
+/// The working sets are read-only and shared (`Arc`), so every host of
+/// a fleet can restore from one table built per run; the metadata and
+/// telemetry are this store's own.
+///
 /// Logical function `f` maps onto working set `f % working_sets.len()`
 /// (the same suite-profile mapping the fleet's `ServiceModel` uses), but
 /// metadata is recorded per *logical* function — two deployments of the
@@ -170,13 +175,13 @@ impl SnapshotStats {
 pub struct SnapshotStore {
     model: ColdStartModel,
     timings: SnapshotTimings,
-    working_sets: Vec<PageWorkingSet>,
+    working_sets: Arc<[PageWorkingSet]>,
     metadata: BTreeMap<usize, SnapshotMetadata>,
     stats: SnapshotStats,
 }
 
 impl SnapshotStore {
-    /// Builds a store over explicit working sets.
+    /// Builds a store over explicit (possibly shared) working sets.
     ///
     /// # Errors
     ///
@@ -184,7 +189,7 @@ impl SnapshotStore {
     pub fn try_new(
         model: ColdStartModel,
         timings: SnapshotTimings,
-        working_sets: Vec<PageWorkingSet>,
+        working_sets: Arc<[PageWorkingSet]>,
     ) -> Result<Self, SimError> {
         timings.validate()?;
         if working_sets.is_empty() {
@@ -529,7 +534,7 @@ mod tests {
         let err = SnapshotStore::try_new(
             ColdStartModel::LazyPaging,
             SnapshotTimings::default(),
-            Vec::new(),
+            Arc::from([]),
         )
         .unwrap_err();
         assert!(format!("{err}").contains("snapshot.working_sets"));

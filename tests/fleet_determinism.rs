@@ -315,23 +315,47 @@ fn quick_scale_config() -> FleetConfig {
     }
 }
 
+/// The same shape with every per-host table the run shares in use:
+/// admission priorities, REAP snapshot working sets, and dedup page
+/// layouts.
+fn quick_scale_shared_tables_config() -> FleetConfig {
+    let mut config = FleetConfig {
+        cold_start_model: ColdStartModel::ReapPrefetch,
+        admission: AdmissionConfig {
+            enabled: true,
+            reserved_concurrency: 1,
+            burst_concurrency: 2,
+            host_concurrency: 8,
+            memory_pressure_instances: 4,
+        },
+        ..quick_scale_config()
+    };
+    config.tenancy.dedup = true;
+    config
+}
+
 #[test]
 fn work_stealing_at_2048_hosts_is_bit_identical_to_one_thread() {
     let m = model();
-    let one = run_fleet(&quick_scale_config(), &m, false).expect("1-thread run");
-    assert!(one.host_crashes > 0, "chaos must engage at this scale");
-    assert!(one.prewarm_spawns > 0 || one.early_decays > 0, "prediction must engage");
-    for threads in [4, 8] {
-        let stolen = run_fleet(
-            &FleetConfig {
-                threads,
-                ..quick_scale_config()
-            },
-            &m,
-            false,
-        )
-        .expect("work-stealing run");
-        assert_bit_identical(&one, &stolen);
+    for config in [quick_scale_config(), quick_scale_shared_tables_config()] {
+        let one = run_fleet(&config, &m, false).expect("1-thread run");
+        assert!(one.host_crashes > 0, "chaos must engage at this scale");
+        assert!(
+            one.prewarm_spawns > 0 || one.early_decays > 0,
+            "prediction must engage"
+        );
+        for threads in [4, 8] {
+            let stolen = run_fleet(
+                &FleetConfig {
+                    threads,
+                    ..config.clone()
+                },
+                &m,
+                false,
+            )
+            .expect("work-stealing run");
+            assert_bit_identical(&one, &stolen);
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the `luke-predict` subsystem: IAT-histogram
 //! quantile monotonicity, merge determinism, the adaptive hold floor,
+//! the sparse bank's per-function equivalence to standalone predictors,
 //! and the fleet-level bit-transparency of a disabled `PrewarmConfig`.
 
 use lukewarm::fleet::{run_fleet, FleetConfig, PrewarmConfig, ServiceModel};
@@ -24,6 +25,26 @@ fn arrivals(gaps: &[f64]) -> Vec<f64> {
         out.push(at);
     }
     out
+}
+
+/// Arrivals of several functions merged into one time-ordered stream, as
+/// `(time, function)`. Even functions arrive on a strict period (the
+/// periodicity head fires), odd ones on generated gaps (the quantile
+/// path).
+fn interleaved_arrivals() -> impl Strategy<Value = Vec<(f64, usize)>> {
+    prop::collection::vec((100.0f64..60_000.0, iats()), 1..24).prop_map(|lanes| {
+        let mut stream = Vec::new();
+        for (function, (period, gaps)) in lanes.iter().enumerate() {
+            let times = if function % 2 == 0 {
+                (1..=gaps.len()).map(|i| i as f64 * period).collect()
+            } else {
+                arrivals(gaps)
+            };
+            stream.extend(times.into_iter().map(|at| (at, function)));
+        }
+        stream.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        stream
+    })
 }
 
 proptest! {
@@ -122,6 +143,64 @@ proptest! {
             );
         }
     }
+
+    // --- Sparse bank ---
+
+    #[test]
+    fn bank_answers_each_function_like_a_standalone_predictor(
+        stream in interleaved_arrivals(),
+        cap_ms in 10_000.0f64..1_200_000.0,
+    ) {
+        let config = PrewarmConfig {
+            min_samples: 4,
+            ..PrewarmConfig::default_enabled()
+        };
+        let functions = 24;
+        let mut bank = PredictorBank::new(config, functions, cap_ms);
+        let mut alone: Vec<Option<Predictor>> = vec![None; functions];
+        for (at, function) in stream {
+            let restore_est = 10.0 * function as f64;
+            let decays_before = bank.early_decays();
+            let scheduled = bank.observe(function, at, restore_est);
+            let model = alone[function].get_or_insert_with(Predictor::new);
+            model.observe(at);
+            let hold = model.hold_ms(&config, cap_ms);
+            let expected = model
+                .predicted_iat_ms(&config)
+                .map(|iat| at + iat - restore_est)
+                .filter(|&t_pre| t_pre > at + hold);
+            prop_assert_eq!(bank.holds()[function], hold, "hold of {}", function);
+            prop_assert_eq!(scheduled, expected, "pre-restore of {}", function);
+            prop_assert_eq!(
+                bank.early_decays() - decays_before,
+                u64::from(hold < cap_ms),
+                "early decay of {}",
+                function
+            );
+        }
+        // A function never observed has no model and sits at the cap.
+        for (function, model) in alone.iter().enumerate() {
+            let samples = bank.predictor(function).map(Predictor::samples);
+            prop_assert_eq!(samples, model.as_ref().map(Predictor::samples));
+            if model.is_none() {
+                prop_assert_eq!(bank.holds()[function], cap_ms);
+            }
+        }
+    }
+}
+
+/// Predictor memory is O(functions seen): a bank over a million
+/// functions holds exactly one model after one arrival.
+#[test]
+fn bank_creates_a_predictor_on_a_function_first_arrival_only() {
+    let functions = 1 << 20;
+    let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), functions, 600_000.0);
+    assert_eq!(bank.observe(12_345, 1_000.0, 5.0), None);
+    let tracked: Vec<usize> = (0..functions)
+        .filter(|&function| bank.predictor(function).is_some())
+        .collect();
+    assert_eq!(tracked, vec![12_345]);
+    assert_eq!(bank.holds()[0], 600_000.0);
 }
 
 /// A pool-level restatement of the floor property: an instance invoked
