@@ -2,7 +2,7 @@
 //! interleaving-degree estimate that prices every warm hit.
 //!
 //! A host is deliberately self-contained — it owns its pool, fault
-//! stream, counters, histogram, event ring, and a private
+//! stream, counters, histogram, and a private
 //! [`CalendarQueue`] of timers (keep-alive expiries, adaptive-decay
 //! re-checks, pre-warm restores), and consumes its pre-routed arrival
 //! queue with no shared state. Timers drain at each arrival boundary in
@@ -17,18 +17,19 @@ use std::sync::Arc;
 use luke_common::rng::DetRng;
 use luke_obs::span::{tick_us, trace_id, SpanKind, SpanRing, SpanScope};
 use luke_predict::PredictorBank;
-use luke_obs::{Event, EventKind, EventRing, Histogram, Registry, StartClass, TimeWindows};
+use luke_obs::{Histogram, Registry, StartClass, TimeWindows};
 use luke_snapshot::{ColdStartModel, PageWorkingSet, SnapshotStore};
 use luke_tenancy::{language_slot, FunctionLayout};
 use server::{
-    fault_kind_index, AdmissionControl, AdmissionDecision, AttemptCosts, FaultKind, FaultPlan,
-    FaultStats, InstancePool, InvocationResult, RetryPolicy,
+    AdmissionControl, AdmissionDecision, AttemptCosts, FaultPlan, FaultStats, InstancePool,
+    InvocationResult, RetryPolicy,
 };
 
 use crate::chaos::{HostSchedule, HostState};
 use crate::config::FleetConfig;
 use crate::event::{CalendarQueue, FleetEventKind};
 use crate::route::RoutingPolicy;
+use crate::stats::HostStats;
 use crate::tenant::HostTenancy;
 use crate::timing::ServiceModel;
 use crate::traffic::Population;
@@ -37,9 +38,6 @@ use crate::traffic::Population;
 const FAULT_STREAM: u64 = 0x66_6C_74; // "flt"
 /// Seed-space tag for down-host reconnect backoff jitter.
 const DOWN_STREAM: u64 = 0x646F_776E; // "down"
-/// `FaultDraw` event tag for a whole-host chaos crash — one past the
-/// per-invocation fault kinds (which occupy 0..4).
-const HOST_CRASH_EVENT: u64 = 4;
 /// First span id the host side hands out: the root is id 0 and the
 /// route-phase spans own ids 1–3.
 const HOST_SPAN_FIRST_ID: u32 = 4;
@@ -156,38 +154,18 @@ pub struct FleetHost {
     /// Invocations of each logical function seen by this host — the
     /// "own rate" term of the interleaving estimate.
     fn_invocations: Vec<u64>,
-    /// Total invocations processed.
-    pub invocations: u64,
-    /// Invocations that found no live instance (or lost it to a fault).
-    pub cold_starts: u64,
-    /// Warm hits below the lukewarm threshold.
-    pub warm_hits: u64,
-    /// Warm hits at or above the lukewarm threshold — the paper's
-    /// lukewarm invocations.
-    pub lukewarm_hits: u64,
-    /// Sum of interleaving degrees over all warm hits.
-    pub degree_sum: f64,
-    /// Sum of end-to-end latencies, ms.
-    pub latency_sum_ms: f64,
+    /// The counts this host keeps as it goes. The admission, tenancy
+    /// and predictor-bank counts live in those components and join
+    /// these in [`FleetHost::stats`].
+    stats: HostStats,
     /// End-to-end latency distribution, µs.
     pub latency_us: Histogram,
     /// Fault-layer tallies.
     pub fault_stats: FaultStats,
-    /// Lifecycle trace (empty ring when tracing is off).
-    pub events: EventRing,
     /// This host's chaos timeline (empty without chaos).
     schedule: HostSchedule,
     /// Next crash boundary to apply (index into the schedule).
     next_crash: usize,
-    /// Whole-host crashes applied: pool wiped, keep-alive state gone.
-    pub host_crashes: u64,
-    /// Reconnect retries burned against down-windows.
-    pub down_retries: u64,
-    /// Invocations abandoned because the host stayed down past the
-    /// retry budget.
-    pub down_failures: u64,
-    /// Fault-layer retries (attempts beyond the first), accumulated.
-    pub retries: u64,
     /// Outcomes of hedged copies, joined fleet-wide at merge time.
     pub hedge_outcomes: Vec<HedgeOutcome>,
     /// Span trees of this host's sampled invocations (empty ring when
@@ -203,9 +181,6 @@ pub struct FleetHost {
     retry_tokens: Vec<f64>,
     /// Seed for down-host reconnect backoff jitter.
     chaos_seed: u64,
-    /// Whether any resilience knob is on — gates the resilience series
-    /// so disabled runs export byte-identical telemetry.
-    resilient: bool,
     /// Predictive pre-warm / adaptive keep-alive policy bank (present
     /// only when prediction is enabled; `None` takes the exact
     /// fixed-keep-alive code path).
@@ -218,10 +193,6 @@ pub struct FleetHost {
     /// the lead time pre-warms are back-dated by. Empty when prediction
     /// is disabled.
     last_restore_ms: Vec<f64>,
-    /// Pre-restores actually spawned ahead of a predicted arrival.
-    pub prewarm_spawns: u64,
-    /// Arrivals that landed on a pre-warmed instance.
-    pub prewarm_hits: u64,
     /// The host's private calendar queue: keep-alive expiries,
     /// adaptive-decay re-checks, and pre-warm timers, drained at each
     /// arrival boundary (see [`crate::event`]).
@@ -325,21 +296,11 @@ impl FleetHost {
             faults,
             live: vec![0; config.population],
             fn_invocations: vec![0; config.population],
-            invocations: 0,
-            cold_starts: 0,
-            warm_hits: 0,
-            lukewarm_hits: 0,
-            degree_sum: 0.0,
-            latency_sum_ms: 0.0,
+            stats: HostStats::default(),
             latency_us: Histogram::new(),
             fault_stats: FaultStats::default(),
-            events: EventRing::with_capacity(config.events_capacity),
             schedule: HostSchedule::synthesize(config, host_id),
             next_crash: 0,
-            host_crashes: 0,
-            down_retries: 0,
-            down_failures: 0,
-            retries: 0,
             hedge_outcomes: Vec::new(),
             spans: SpanRing::with_capacity(span_capacity(config)),
             series: TimeWindows::new(config.series_window_ms),
@@ -350,12 +311,9 @@ impl FleetHost {
                 .split(DOWN_STREAM)
                 .split(host_id as u64)
                 .seed(),
-            resilient: config.resilience_enabled(),
             prewarm,
             prewarm_ready,
             last_restore_ms,
-            prewarm_spawns: 0,
-            prewarm_hits: 0,
             timers: CalendarQueue::new(),
             expiry_queued: vec![0.0; config.population],
             prewarm_pending: if config.prewarm.enabled {
@@ -374,36 +332,28 @@ impl FleetHost {
         while self.next_crash < self.schedule.crash_count()
             && self.schedule.crash_start(self.next_crash) <= at
         {
-            let died = self.pool.evict_all();
+            self.pool.evict_all();
             self.live.fill(0);
             self.prewarm_ready.fill(None);
             if let Some(tenancy) = self.tenancy.as_mut() {
                 tenancy.clear_resident();
             }
-            self.host_crashes += 1;
-            self.events.record(Event {
-                ts: (self.schedule.crash_start(self.next_crash) * 1000.0) as u64,
-                dur: 0,
-                kind: EventKind::FaultDraw,
-                a: HOST_CRASH_EVENT,
-                b: died as u64,
-            });
+            self.stats.host_crashes += 1;
             self.next_crash += 1;
         }
     }
 
-    /// Records one invocation's terminal accounting: totals, histogram
-    /// or hedge-outcome side list, and the retire event.
+    /// Records one invocation's terminal accounting: totals, and the
+    /// histogram or the hedge-outcome side list.
     fn retire(
         &mut self,
         routed: RoutedInvocation,
         function: usize,
         latency_ms: f64,
-        attempts: u64,
         completed: bool,
         class: StartClass,
     ) -> f64 {
-        self.invocations += 1;
+        self.stats.invocations += 1;
         self.fn_invocations[function] += 1;
         if routed.hedge {
             // Hedge copies report through the side list; the merge joins
@@ -416,19 +366,12 @@ impl FleetHost {
                 class,
             });
         } else {
-            self.latency_sum_ms += latency_ms;
+            self.stats.latency_sum_ms += latency_ms;
             let latency_us = (latency_ms * 1000.0).round() as u64;
             self.latency_us.record(latency_us);
             self.series
                 .record_outcome(routed.at_ms, latency_us, class, self.over_slo(latency_ms));
         }
-        self.events.record(Event {
-            ts: ((routed.at_ms + latency_ms) * 1000.0) as u64,
-            dur: (latency_ms * 1000.0) as u64,
-            kind: EventKind::Retire,
-            a: function as u64,
-            b: attempts,
-        });
         latency_ms
     }
 
@@ -636,7 +579,7 @@ impl FleetHost {
         self.set_live(function, Some(id));
         self.prewarm_ready[function] = Some(t_pre + cost_ms);
         self.last_restore_ms[function] = cost_ms;
-        self.prewarm_spawns += 1;
+        self.stats.prewarm_spawns += 1;
         self.schedule_expiry(function, t_pre + self.hold_for(function));
     }
 
@@ -682,7 +625,7 @@ impl FleetHost {
         let at = routed.at_ms;
         let function = routed.function;
         let profile = function % model.functions();
-        let invocation = self.invocations;
+        let invocation = self.stats.invocations;
 
         self.apply_crash_boundaries(at);
 
@@ -741,8 +684,8 @@ impl FleetHost {
             if still_down {
                 // Still down with nothing left to spend: abandoned
                 // without ever executing.
-                self.down_retries += down_retries;
-                self.down_failures += 1;
+                self.stats.retries += down_retries;
+                self.stats.down_failures += 1;
                 self.fault_stats.abandoned += 1;
                 if budget.is_limited() {
                     let mut t = tokens;
@@ -750,16 +693,9 @@ impl FleetHost {
                     self.retry_tokens[function] = t;
                 }
                 scope.root(down_wait_ms, self.host_id as u64, tick_us(at));
-                return self.retire(
-                    routed,
-                    function,
-                    down_wait_ms,
-                    down_retries,
-                    false,
-                    StartClass::Cold,
-                );
+                return self.retire(routed, function, down_wait_ms, false, StartClass::Cold);
             }
-            self.down_retries += down_retries;
+            self.stats.retries += down_retries;
         }
 
         // Fire every timer due at this arrival boundary — keep-alive
@@ -827,13 +763,6 @@ impl FleetHost {
                 self.take_prewarm_ready(function);
                 self.tenancy_release(function);
                 self.fault_stats.evictions += 1;
-                self.events.record(Event {
-                    ts: 0,
-                    dur: 0,
-                    kind: EventKind::FaultDraw,
-                    a: fault_kind_index(FaultKind::MemoryPressureEviction),
-                    b: 0,
-                });
                 starts_cold = true;
             }
         }
@@ -873,7 +802,7 @@ impl FleetHost {
             }
             self.pool.invoke(id, at);
             self.set_live(function, Some(id));
-            self.cold_starts += 1;
+            self.stats.cold_starts += 1;
             // A fresh container has nothing resident: full penalty, and
             // Jukebox has no prior invocation to replay.
             model.service_ms(profile, 1.0, false)
@@ -887,17 +816,17 @@ impl FleetHost {
             // Jukebox replays the snapshot's recorded history.
             let id = self.live_id(function).expect("prewarmed path has a live id");
             self.pool.invoke(id, at).expect("live id is in the pool");
-            self.lukewarm_hits += 1;
-            self.prewarm_hits += 1;
+            self.stats.lukewarm_hits += 1;
+            self.stats.prewarm_hits += 1;
             class = StartClass::Lukewarm;
-            self.degree_sum += 1.0;
+            self.stats.degree_sum += 1.0;
             (ready_ms - at).max(0.0) + model.service_ms(profile, 1.0, jukebox)
         } else {
             let id = self.live_id(function).expect("warm path has a live id");
             let gap_ms = self.pool.invoke(id, at).expect("live id is in the pool");
             let elapsed_sec = at / 1000.0;
             let other_per_sec = if elapsed_sec > 0.0 {
-                let host_rate = self.invocations as f64 / elapsed_sec;
+                let host_rate = self.stats.invocations as f64 / elapsed_sec;
                 let own_rate = self.fn_invocations[function] as f64 / elapsed_sec;
                 (host_rate - own_rate).max(0.0)
             } else {
@@ -905,13 +834,13 @@ impl FleetHost {
             };
             let degree = model.degree(other_per_sec, gap_ms);
             if degree >= model.lukewarm_threshold {
-                self.lukewarm_hits += 1;
+                self.stats.lukewarm_hits += 1;
                 class = StartClass::Lukewarm;
             } else {
-                self.warm_hits += 1;
+                self.stats.warm_hits += 1;
                 class = StartClass::Warm;
             }
-            self.degree_sum += degree;
+            self.stats.degree_sum += degree;
             model.service_ms(profile, degree, jukebox)
         };
 
@@ -935,14 +864,6 @@ impl FleetHost {
                 tenancy.note_slowed(after - before);
             }
         }
-
-        self.events.record(Event {
-            ts: (at * 1000.0) as u64,
-            dur: 0,
-            kind: EventKind::Dispatch,
-            a: function as u64,
-            b: self.host_id as u64,
-        });
 
         let costs = AttemptCosts {
             service_ms,
@@ -978,7 +899,6 @@ impl FleetHost {
                 invocation,
                 &costs,
                 &mut self.fault_stats,
-                &mut self.events,
                 scope,
                 down_wait_ms,
             )
@@ -1008,7 +928,7 @@ impl FleetHost {
         }
 
         let fault_retries = result.attempts.saturating_sub(1);
-        self.retries += fault_retries;
+        self.stats.retries += fault_retries;
         if budget.is_limited() {
             let mut t = tokens;
             budget.settle(&mut t, down_retries + fault_retries, result.completed);
@@ -1022,110 +942,53 @@ impl FleetHost {
         // exactly (same float, same rounding), and the children tiled
         // every contributing window — exact critical-path attribution.
         scope.root(latency_ms, self.host_id as u64, tick_us(at));
-        self.retire(
-            routed,
-            function,
-            latency_ms,
-            down_retries + result.attempts,
-            result.completed,
-            class,
-        )
+        self.retire(routed, function, latency_ms, result.completed, class)
     }
 
-    /// Warm hits of either temperature.
-    pub fn hits(&self) -> u64 {
-        self.warm_hits + self.lukewarm_hits
-    }
-
-    /// Mean interleaving degree over warm hits (0 when there were none).
-    pub fn mean_degree(&self) -> f64 {
-        if self.hits() == 0 {
-            0.0
-        } else {
-            self.degree_sum / self.hits() as f64
+    /// This host's counts as of `end_ms`, the run's last arrival: the
+    /// ones it kept while processing, plus the admission, tenancy and
+    /// predictor-bank counters, the fault layer's outcome, the warm pool
+    /// left standing, and its occupancy bill.
+    pub fn stats(&self, end_ms: f64) -> HostStats {
+        let mut stats = HostStats {
+            completed: self.fault_stats.completed,
+            abandoned: self.fault_stats.abandoned,
+            warm_instances: self.pool.warm_count(),
+            // Occupancy through `end_ms` under the holds in force
+            // (adaptive under prediction, the global keep-alive
+            // otherwise); see `InstancePool::residency_ms_through`.
+            memory_ms: self
+                .pool
+                .residency_ms_through(end_ms, self.prewarm.as_ref().map(|b| b.holds())),
+            ..self.stats
+        };
+        if let Some(ctl) = &self.admission {
+            stats.admitted = ctl.admitted();
+            stats.shed = ctl.shed();
+            stats.degraded_restores = ctl.degraded_restores();
         }
+        if let Some(bank) = &self.prewarm {
+            stats.prewarms_scheduled = bank.prewarms_scheduled();
+            stats.early_decays = bank.early_decays();
+        }
+        if let Some(tenancy) = &self.tenancy {
+            stats.shared_pages = tenancy.shared_pages();
+            stats.dedup_hits = tenancy.dedup_hits();
+            stats.dedup_bytes_saved = tenancy.dedup_bytes_saved();
+            stats.contention_extra_ms = tenancy.extra_ms();
+            stats.slowed_invocations = tenancy.slowed();
+        }
+        stats
     }
 
-    /// Currently warm instances.
-    pub fn warm_instances(&self) -> usize {
-        self.pool.warm_count()
-    }
-
-    /// Warm-pool occupancy in instance-milliseconds through `end_ms`,
-    /// priced under this host's holds in force (adaptive when
-    /// prediction is on, the global keep-alive otherwise). Read-only —
-    /// see [`server::InstancePool::residency_ms_through`].
-    pub fn memory_ms_through(&self, end_ms: f64) -> f64 {
-        self.pool
-            .residency_ms_through(end_ms, self.prewarm.as_ref().map(|b| b.holds()))
-    }
-
-    /// Pre-restores the policy bank scheduled (0 when prediction is
-    /// off; scheduled ≥ spawned, since a raised hold cancels a pending
-    /// pre-warm).
-    pub fn prewarms_scheduled(&self) -> u64 {
-        self.prewarm.as_ref().map_or(0, |b| b.prewarms_scheduled())
-    }
-
-    /// Arrivals processed while a tightened (below-cap) adaptive hold
-    /// was in force (0 when prediction is off).
-    pub fn early_decays(&self) -> u64 {
-        self.prewarm.as_ref().map_or(0, |b| b.early_decays())
-    }
-
-    /// The admission controller, when admission control is enabled.
-    pub fn admission(&self) -> Option<&AdmissionControl> {
-        self.admission.as_ref()
-    }
-
-    /// The host's tenancy state, when some tenancy knob is enabled.
-    pub fn tenancy(&self) -> Option<&HostTenancy> {
-        self.tenancy.as_ref()
-    }
-
-    /// Contributes this host's telemetry: pool and fault counters,
-    /// `fleet.*` lifecycle counters, and the latency histogram. Safe to
-    /// call on per-shard registries that are later merged — everything
-    /// is additive.
+    /// Contributes the telemetry this host's layers keep themselves: the
+    /// pool's and fault layer's series and the latency histogram. The
+    /// fleet counts come from [`FleetHost::stats`] through
+    /// [`HostStats::fill_registry`]. Additive, like both of those.
     pub fn fill_registry(&self, registry: &mut Registry) {
         self.pool.fill_registry(registry);
         self.fault_stats.fill_registry(registry);
-        registry.counter_add("fleet.invocations", self.invocations);
-        registry.counter_add("fleet.cold_starts", self.cold_starts);
-        registry.counter_add("fleet.warm_hits", self.warm_hits);
-        registry.counter_add("fleet.lukewarm_hits", self.lukewarm_hits);
         registry.hist_merge("fleet.latency_us", &self.latency_us);
-        // The resilience series only exist when some resilience knob is
-        // on — a disabled run must export byte-identical telemetry.
-        if self.resilient {
-            registry.counter_add("fleet.host_crashes", self.host_crashes);
-            registry.counter_add("fleet.retries", self.retries + self.down_retries);
-            registry.counter_add("fleet.down_failures", self.down_failures);
-        }
-        if let Some(ctl) = &self.admission {
-            registry.counter_add("admission.admitted", ctl.admitted());
-            registry.counter_add("admission.degraded_restores", ctl.degraded_restores());
-            registry.counter_add("admission.shed", ctl.shed());
-        }
-        // The prediction series only exist when the policy is on — a
-        // disabled run must export byte-identical telemetry.
-        if let Some(bank) = &self.prewarm {
-            registry.counter_add("predict.prewarms_scheduled", bank.prewarms_scheduled());
-            registry.counter_add("predict.prewarm_spawns", self.prewarm_spawns);
-            registry.counter_add("predict.prewarm_hits", self.prewarm_hits);
-            registry.counter_add("predict.early_decays", bank.early_decays());
-        }
-        // The tenancy series only exist when some tenancy knob is on —
-        // a disabled run must export byte-identical telemetry.
-        if let Some(tenancy) = &self.tenancy {
-            registry.counter_add("tenancy.shared_pages", tenancy.shared_pages());
-            registry.counter_add("tenancy.dedup_hits", tenancy.dedup_hits());
-            registry.counter_add("tenancy.dedup_bytes_saved", tenancy.dedup_bytes_saved());
-            registry.counter_add("tenancy.slowed_invocations", tenancy.slowed());
-            // Total contention-added latency, rounded to whole ms — the
-            // registry speaks integers.
-            registry.counter_add("tenancy.contention_slowdown", tenancy.extra_ms().round() as u64);
-        }
     }
 }
 
@@ -1139,10 +1002,17 @@ mod tests {
         FleetHost::new(config, 0, &HostTables::new(config))
     }
 
+    /// Everything `host` exports, fleet counts included, as a snapshot.
+    fn exported(host: &FleetHost, config: &FleetConfig) -> luke_obs::Snapshot {
+        let mut registry = Registry::new();
+        host.fill_registry(&mut registry);
+        host.stats(0.0).fill_registry(&mut registry, config);
+        registry.snapshot()
+    }
+
     fn setup() -> (FleetConfig, ServiceModel) {
         let config = FleetConfig {
             population: 10,
-            events_capacity: 64,
             ..FleetConfig::default()
         };
         let model = ServiceModel::analytic(&paper_suite()).unwrap();
@@ -1159,18 +1029,18 @@ mod tests {
             false,
             RoutedInvocation::new(0.0, 3),
         );
-        assert_eq!(host.cold_starts, 1);
-        assert_eq!(host.hits(), 0);
+        assert_eq!(host.stats.cold_starts, 1);
+        assert_eq!(host.stats.hits(), 0);
         let warm = host.process(
             &config,
             &model,
             false,
             RoutedInvocation::new(10.0, 3),
         );
-        assert_eq!(host.hits(), 1);
+        assert_eq!(host.stats.hits(), 1);
         assert!(cold > warm, "cold {cold} vs warm {warm}");
-        assert_eq!(host.invocations, 2);
-        assert_eq!(host.warm_instances(), 1);
+        assert_eq!(host.stats.invocations, 2);
+        assert_eq!(host.pool.warm_count(), 1);
     }
 
     #[test]
@@ -1180,8 +1050,8 @@ mod tests {
         host.process(&config, &model, false, RoutedInvocation::new(0.0, 0));
         let later = config.keep_alive_ms + 1000.0;
         host.process(&config, &model, false, RoutedInvocation::new(later, 0));
-        assert_eq!(host.cold_starts, 2);
-        assert_eq!(host.hits(), 0);
+        assert_eq!(host.stats.cold_starts, 2);
+        assert_eq!(host.stats.hits(), 0);
     }
 
     #[test]
@@ -1194,13 +1064,13 @@ mod tests {
             host.process(&config, &model, false, RoutedInvocation::new(at, 1 + (i % 9)));
         }
         host.process(&config, &model, false, RoutedInvocation::new(4000.0, 0));
-        let before = (host.warm_hits, host.lukewarm_hits);
+        let before = (host.stats.warm_hits, host.stats.lukewarm_hits);
         // 1ms gap: caches still hot.
         host.process(&config, &model, false, RoutedInvocation::new(4001.0, 0));
-        assert_eq!(host.warm_hits, before.0 + 1, "short gap should stay warm");
+        assert_eq!(host.stats.warm_hits, before.0 + 1, "short gap should stay warm");
         // 10s gap inside keep-alive: lukewarm.
         host.process(&config, &model, false, RoutedInvocation::new(14_001.0, 0));
-        assert_eq!(host.lukewarm_hits, before.1 + 1, "long gap should be lukewarm");
+        assert_eq!(host.stats.lukewarm_hits, before.1 + 1, "long gap should be lukewarm");
     }
 
     #[test]
@@ -1215,7 +1085,7 @@ mod tests {
             base_sum += base.process(&config, &model, false, routed);
             jb_sum += jb.process(&config, &model, true, routed);
         }
-        assert_eq!(base.cold_starts, jb.cold_starts);
+        assert_eq!(base.stats.cold_starts, jb.stats.cold_starts);
         assert!(jb_sum < base_sum, "jukebox {jb_sum} vs base {base_sum}");
     }
 
@@ -1283,8 +1153,8 @@ mod tests {
             lazy_sum += lazy.process(&lazy_config, &model, false, routed);
             reap_sum += reap.process(&reap_config, &model, false, routed);
         }
-        assert_eq!(lazy.cold_starts, 8);
-        assert_eq!(reap.cold_starts, 8);
+        assert_eq!(lazy.stats.cold_starts, 8);
+        assert_eq!(reap.stats.cold_starts, 8);
         assert!(
             reap_sum < lazy_sum,
             "reap {reap_sum} should beat lazy {lazy_sum}"
@@ -1320,7 +1190,7 @@ mod tests {
         let mut registry = Registry::new();
         host.fill_registry(&mut registry);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counter("snapshot.restores"), host.cold_starts);
+        assert_eq!(snapshot.counter("snapshot.restores"), host.stats.cold_starts);
         assert!(snapshot.counter("snapshot.pages_recorded") > 0);
     }
 
@@ -1351,18 +1221,18 @@ mod tests {
             plain.process(&plain_config, &model, false, routed);
             warm.process(&prewarm_config, &model, false, routed);
         }
-        assert_eq!(plain.cold_starts, 40);
+        assert_eq!(plain.stats.cold_starts, 40);
         assert!(
-            warm.prewarm_hits > 30,
+            warm.stats.prewarm_hits > 30,
             "prewarm hits {} of 40 arrivals",
-            warm.prewarm_hits
+            warm.stats.prewarm_hits
         );
-        assert!(warm.cold_starts < 10, "cold starts {}", warm.cold_starts);
+        assert!(warm.stats.cold_starts < 10, "cold starts {}", warm.stats.cold_starts);
         assert!(
-            warm.latency_sum_ms < plain.latency_sum_ms,
+            warm.stats.latency_sum_ms < plain.stats.latency_sum_ms,
             "prewarmed {} vs plain {}",
-            warm.latency_sum_ms,
-            plain.latency_sum_ms
+            warm.stats.latency_sum_ms,
+            plain.stats.latency_sum_ms
         );
     }
 
@@ -1373,14 +1243,12 @@ mod tests {
         for i in 0..200 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 25.0, i % 10));
         }
-        assert_eq!(host.prewarm_spawns, 0);
-        assert_eq!(host.prewarm_hits, 0);
-        assert_eq!(host.prewarms_scheduled(), 0);
-        assert_eq!(host.early_decays(), 0);
-        let mut registry = Registry::new();
-        host.fill_registry(&mut registry);
+        assert_eq!(host.stats.prewarm_spawns, 0);
+        assert_eq!(host.stats.prewarm_hits, 0);
+        assert_eq!(host.stats(5_000.0).prewarms_scheduled, 0);
+        assert_eq!(host.stats(5_000.0).early_decays, 0);
         assert!(
-            !registry.snapshot().to_json().contains("predict."),
+            !exported(&host, &config).to_json().contains("predict."),
             "disabled hosts must not grow predict.* series"
         );
     }
@@ -1401,11 +1269,9 @@ mod tests {
         for i in 0..40 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 5_000.0, 0));
         }
-        let mut registry = Registry::new();
-        host.fill_registry(&mut registry);
-        let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counter("predict.prewarm_spawns"), host.prewarm_spawns);
-        assert_eq!(snapshot.counter("predict.prewarm_hits"), host.prewarm_hits);
+        let snapshot = exported(&host, &config);
+        assert_eq!(snapshot.counter("predict.prewarm_spawns"), host.stats.prewarm_spawns);
+        assert_eq!(snapshot.counter("predict.prewarm_hits"), host.stats.prewarm_hits);
         assert!(snapshot.counter("predict.early_decays") > 0);
     }
 
@@ -1419,7 +1285,7 @@ mod tests {
         // 10 functions resident from their first touch through the
         // horizon (all gaps far inside keep-alive).
         let end_ms = 4_900.0;
-        let memory = host.memory_ms_through(end_ms);
+        let memory = host.stats(end_ms).memory_ms;
         assert!(memory > 0.0);
         assert!(
             memory <= 10.0 * end_ms,
@@ -1434,9 +1300,7 @@ mod tests {
         for i in 0..50 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 20.0, i % 10));
         }
-        let mut registry = Registry::new();
-        host.fill_registry(&mut registry);
-        let snapshot = registry.snapshot();
+        let snapshot = exported(&host, &config);
         assert_eq!(snapshot.counter("fleet.invocations"), 50);
         assert_eq!(
             snapshot.counter("fleet.cold_starts")

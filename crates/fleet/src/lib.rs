@@ -48,6 +48,7 @@ pub mod health;
 pub mod host;
 pub mod route;
 pub mod run;
+pub mod stats;
 pub mod tenant;
 pub mod timing;
 pub mod traffic;
@@ -63,6 +64,7 @@ pub use luke_tenancy::{ContentionConfig, TenancyConfig};
 pub use route::{HedgeConfig, RouteDecision, Router, RoutingPolicy};
 pub use run::{run_fleet, run_fleet_pair, FleetComparison, FleetRun, HostSummary};
 pub use server::{AdmissionConfig, RetryBudget};
+pub use stats::HostStats;
 pub use tenant::HostTenancy;
 pub use timing::{FunctionTiming, ServiceModel, FREQ_GHZ};
 pub use traffic::{ArrivalStream, Population, SurgeConfig, SurgeTraffic};

@@ -19,11 +19,12 @@
 //!    arrivals in canonical route order while idle workers steal
 //!    whichever shard has work instead of waiting on the hottest static
 //!    chunk. Hosts share nothing — each owns its pool, fault stream,
-//!    calendar queue of timers, counters, and event ring — so the
-//!    stealing schedule cannot influence any host's state.
-//! 3. **Merge** (sequential): per-host state is folded into fleet
-//!    totals, one registry, one histogram, and one event ring *in host-id
-//!    order*, which is independent of which thread ran which shard.
+//!    calendar queue of timers, and counters — so the stealing schedule
+//!    cannot influence any host's state.
+//! 3. **Merge** (sequential): per-host [`HostStats`] fold into the fleet's,
+//!    and per-host telemetry into one registry and one histogram, *in
+//!    host-id order*, which is independent of which thread ran which
+//!    shard.
 //!
 //! With `threads == 1` the pipeline degenerates to a fully sequential
 //! loop that routes each arrival and processes it on its host
@@ -33,23 +34,23 @@
 //! export byte-identical JSON.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 use std::sync::{Condvar, Mutex};
 
 use luke_common::SimError;
 use luke_obs::span::{sort_canonical, trace_id, Span, SpanKind, SpanRing};
-use luke_obs::{
-    Dataset, EventRing, Export, Histogram, Registry, Snapshot, TimeWindows, Value, WindowRow,
-};
+use luke_obs::{Dataset, Export, Histogram, Registry, Snapshot, TimeWindows, Value, WindowRow};
 
 use crate::chaos::ChaosPlan;
 use crate::config::FleetConfig;
 use crate::health::HealthView;
 use crate::host::{FleetHost, HedgeOutcome, HostTables, RoutedInvocation};
-use crate::route::{Router, RoutingPolicy};
+use crate::route::Router;
+use crate::stats::{ratio, HostStats};
 use crate::timing::ServiceModel;
 use crate::traffic::{ArrivalStream, Population};
 
-/// Per-host slice of a [`FleetRun`].
+/// Per-host slice of a [`FleetRun`], built from the host's [`HostStats`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct HostSummary {
     /// Host index.
@@ -70,95 +71,57 @@ pub struct HostSummary {
     pub warm_instances: usize,
 }
 
-/// Result of one fleet run. Contains no trace of how many threads
-/// produced it.
+impl HostSummary {
+    /// Host `host`'s row from its `stats` and the number of samples its
+    /// latency histogram holds.
+    fn new(host: usize, stats: &HostStats, latency_samples: u64) -> Self {
+        HostSummary {
+            host,
+            invocations: stats.invocations,
+            cold_starts: stats.cold_starts,
+            warm_hits: stats.warm_hits,
+            lukewarm_hits: stats.lukewarm_hits,
+            mean_degree: stats.mean_degree(),
+            mean_latency_ms: ratio(stats.latency_sum_ms, latency_samples),
+            warm_instances: stats.warm_instances,
+        }
+    }
+}
+
+/// Result of one fleet run. Its counts are the fleet's [`HostStats`],
+/// read straight through the run (`run.cold_starts`). Contains no trace
+/// of how many threads produced it.
 #[derive(Clone, Debug)]
 pub struct FleetRun {
-    /// Routing policy that shaped the run.
-    pub policy: RoutingPolicy,
-    /// Fleet size.
-    pub hosts: usize,
+    /// The config that produced the run, with `threads` reset to 1: the
+    /// thread count never changes a result, so a run does not record it.
+    /// Which datasets exist follows from which features it enables.
+    pub config: FleetConfig,
     /// Whether warm service times used the Jukebox factor.
     pub jukebox: bool,
-    /// Total invocations.
-    pub invocations: u64,
-    /// Fleet-wide cold starts.
-    pub cold_starts: u64,
-    /// Fleet-wide warm (non-lukewarm) hits.
-    pub warm_hits: u64,
-    /// Fleet-wide lukewarm hits.
-    pub lukewarm_hits: u64,
-    /// Invocations that completed (fault layer).
-    pub completed: u64,
-    /// Invocations abandoned by the retry policy.
-    pub abandoned: u64,
-    /// Sum of end-to-end latencies, ms.
-    pub latency_sum_ms: f64,
+    /// Fleet-wide counts: every host's, folded in host-id order, plus
+    /// the router's.
+    pub stats: HostStats,
     /// Merged latency distribution, µs.
     pub latency_us: Histogram,
     /// Per-host breakdown, in host order.
     pub per_host: Vec<HostSummary>,
     /// Merged telemetry snapshot (pool, fault, and fleet series).
     pub snapshot: Snapshot,
-    /// Merged lifecycle trace, hosts concatenated in id order (empty
-    /// when `events_capacity` is 0).
-    pub events: EventRing,
-    /// Whole-host chaos crashes applied across the fleet.
-    pub host_crashes: u64,
-    /// Dispatches routed around an unhealthy preferred host.
-    pub failovers: u64,
-    /// Hedged dispatches issued (each added one extra copy of load).
-    pub hedges: u64,
-    /// Retries spent fleet-wide: fault-layer re-attempts plus down-host
-    /// reconnects.
-    pub retries: u64,
-    /// Arrivals rejected by the admission ladder.
-    pub shed: u64,
-    /// Cold starts degraded to lazy-paging restores under memory
-    /// pressure.
-    pub degraded_restores: u64,
-    /// Whether any resilience knob was on (gates the resilience
-    /// dataset so disabled runs export byte-identical output).
-    pub resilient: bool,
     /// Span trees of every sampled invocation, canonically ordered by
     /// (trace lane, span id) — empty when `trace_sample` is 0.
     pub spans: Vec<Span>,
     /// Windowed time-series rows in time order — empty when
     /// `series_window_ms` is 0.
     pub timeline: Vec<WindowRow>,
-    /// Whether span tracing was on (gates the spans dataset).
-    pub traced: bool,
-    /// Whether the windowed series was on (gates the timeline dataset).
-    pub windowed: bool,
-    /// Warm-pool occupancy in instance-milliseconds through the last
-    /// arrival — what a provider pays to run the keep-alive policy.
-    /// Always computed (fixed policies have a memory bill too); only
-    /// exported as a dataset when prediction was on.
-    pub memory_ms: f64,
-    /// Pre-restores the prediction policy scheduled (0 when off).
-    pub prewarms_scheduled: u64,
-    /// Pre-restores actually spawned ahead of a predicted arrival.
-    pub prewarm_spawns: u64,
-    /// Arrivals that landed on a pre-warmed instance.
-    pub prewarm_hits: u64,
-    /// Arrivals processed under a tightened (below-cap) adaptive hold.
-    pub early_decays: u64,
-    /// Whether prediction was on (gates the prewarm dataset).
-    pub prewarmed: bool,
-    /// Dispatches scored by the placement-aware policy (0 otherwise).
-    pub placement_routed: u64,
-    /// Distinct shared pages registered across all hosts.
-    pub shared_pages: u64,
-    /// Shared-page registrations that found the page already resident.
-    pub dedup_hits: u64,
-    /// Bytes dedup avoided materializing fleet-wide.
-    pub dedup_bytes_saved: u64,
-    /// Total latency contention pressure added across the fleet, ms.
-    pub contention_extra_ms: f64,
-    /// Invocations that ran with a contention slowdown above 1.
-    pub slowed_invocations: u64,
-    /// Whether any tenancy knob was on (gates the tenancy dataset).
-    pub tenant: bool,
+}
+
+impl Deref for FleetRun {
+    type Target = HostStats;
+
+    fn deref(&self) -> &HostStats {
+        &self.stats
+    }
 }
 
 impl FleetRun {
@@ -166,33 +129,7 @@ impl FleetRun {
     /// histogram tracked (hedged pairs count once, shed arrivals not at
     /// all; without resilience this is exactly `invocations`).
     pub fn mean_latency_ms(&self) -> f64 {
-        if self.latency_us.count() == 0 {
-            0.0
-        } else {
-            self.latency_sum_ms / self.latency_us.count() as f64
-        }
-    }
-
-    /// Retry amplification: dispatched attempts per admitted arrival
-    /// (1.0 when nothing ever retried).
-    pub fn retry_amplification(&self) -> f64 {
-        if self.invocations == 0 {
-            1.0
-        } else {
-            1.0 + self.retries as f64 / self.invocations as f64
-        }
-    }
-
-    /// Fleet-wide shared-page hit rate: the share of shareable page
-    /// registrations that found the page already resident on the host
-    /// (0.0 when nothing registered — dedup off or tenancy disabled).
-    pub fn shared_page_hit_rate(&self) -> f64 {
-        let touched = self.shared_pages + self.dedup_hits;
-        if touched == 0 {
-            0.0
-        } else {
-            self.dedup_hits as f64 / touched as f64
-        }
+        ratio(self.latency_sum_ms, self.latency_us.count())
     }
 
     /// Median end-to-end latency, ms (0.0 when nothing completed — an
@@ -208,31 +145,6 @@ impl FleetRun {
         self.latency_us
             .try_percentile(99.0)
             .map_or(0.0, |us| us as f64 / 1000.0)
-    }
-
-    /// Fraction of invocations that found no warm instance.
-    pub fn cold_start_rate(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.cold_starts as f64 / self.invocations as f64
-        }
-    }
-
-    /// Fraction of invocations served warm but microarchitecturally
-    /// cold — the paper's lukewarm share.
-    pub fn lukewarm_fraction(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.lukewarm_hits as f64 / self.invocations as f64
-        }
-    }
-
-    /// Warm-pool occupancy in instance-seconds — the frontier's x-axis
-    /// in its natural unit.
-    pub fn memory_instance_s(&self) -> f64 {
-        self.memory_ms / 1000.0
     }
 }
 
@@ -597,81 +509,19 @@ pub fn run_fleet(
     // Merge (sequential, host-id order).
     let mut registry = Registry::new();
     let mut latency_us = Histogram::new();
-    let mut events = EventRing::with_capacity(config.merged_events_capacity());
-    let mut run = FleetRun {
-        policy: config.policy,
-        hosts: config.hosts,
-        jukebox,
-        invocations: 0,
-        cold_starts: 0,
-        warm_hits: 0,
-        lukewarm_hits: 0,
-        completed: 0,
-        abandoned: 0,
-        latency_sum_ms: 0.0,
-        latency_us: Histogram::new(),
-        per_host: Vec::with_capacity(config.hosts),
-        snapshot: Registry::new().snapshot(),
-        events: EventRing::disabled(),
-        host_crashes: 0,
-        failovers: router.failovers(),
-        hedges: router.hedges(),
-        retries: 0,
-        shed: 0,
-        degraded_restores: 0,
-        resilient: config.resilience_enabled(),
-        spans: Vec::new(),
-        timeline: Vec::new(),
-        traced: config.tracing_enabled(),
-        windowed: config.series_enabled(),
-        memory_ms: 0.0,
-        prewarms_scheduled: 0,
-        prewarm_spawns: 0,
-        prewarm_hits: 0,
-        early_decays: 0,
-        prewarmed: config.prewarm_enabled(),
-        placement_routed: router.placement_routed(),
-        shared_pages: 0,
-        dedup_hits: 0,
-        dedup_bytes_saved: 0,
-        contention_extra_ms: 0.0,
-        slowed_invocations: 0,
-        tenant: config.tenancy_enabled(),
-    };
+    let mut stats = HostStats::default();
+    let mut per_host = Vec::with_capacity(config.hosts);
     let mut spans: Vec<Span> = route_spans.take_spans();
     let mut series = TimeWindows::new(config.series_window_ms);
     let mut hedge_pairs: BTreeMap<u64, HedgeOutcome> = BTreeMap::new();
     for host in &hosts {
+        let host_stats = host.stats(end_ms);
         host.fill_registry(&mut registry);
+        host_stats.fill_registry(&mut registry, config);
+        stats.merge(&host_stats);
         latency_us.merge(&host.latency_us);
-        events.extend_from(&host.events);
         spans.extend(host.spans.spans());
         series.merge(&host.series);
-        run.invocations += host.invocations;
-        run.cold_starts += host.cold_starts;
-        run.warm_hits += host.warm_hits;
-        run.lukewarm_hits += host.lukewarm_hits;
-        run.completed += host.fault_stats.completed;
-        run.abandoned += host.fault_stats.abandoned;
-        run.latency_sum_ms += host.latency_sum_ms;
-        run.host_crashes += host.host_crashes;
-        run.retries += host.retries + host.down_retries;
-        run.memory_ms += host.memory_ms_through(end_ms);
-        run.prewarms_scheduled += host.prewarms_scheduled();
-        run.prewarm_spawns += host.prewarm_spawns;
-        run.prewarm_hits += host.prewarm_hits;
-        run.early_decays += host.early_decays();
-        if let Some(ctl) = host.admission() {
-            run.shed += ctl.shed();
-            run.degraded_restores += ctl.degraded_restores();
-        }
-        if let Some(tenancy) = host.tenancy() {
-            run.shared_pages += tenancy.shared_pages();
-            run.dedup_hits += tenancy.dedup_hits();
-            run.dedup_bytes_saved += tenancy.dedup_bytes_saved();
-            run.contention_extra_ms += tenancy.extra_ms();
-            run.slowed_invocations += tenancy.slowed();
-        }
         // Hedge copies share a dispatch id: keep the better fate (a
         // completion beats a failure, then the faster latency wins).
         for &outcome in &host.hedge_outcomes {
@@ -687,21 +537,22 @@ pub fn run_fleet(
                 })
                 .or_insert(outcome);
         }
-        run.per_host.push(HostSummary {
-            host: host.host_id,
-            invocations: host.invocations,
-            cold_starts: host.cold_starts,
-            warm_hits: host.warm_hits,
-            lukewarm_hits: host.lukewarm_hits,
-            mean_degree: host.mean_degree(),
-            mean_latency_ms: if host.latency_us.count() == 0 {
-                0.0
-            } else {
-                host.latency_sum_ms / host.latency_us.count() as f64
-            },
-            warm_instances: host.warm_instances(),
-        });
+        per_host.push(HostSummary::new(
+            host.host_id,
+            &host_stats,
+            host.latency_us.count(),
+        ));
     }
+    // The router is one more contributor: its route-phase counts fold in
+    // once, through the same registry names.
+    let routed = HostStats {
+        failovers: router.failovers(),
+        hedges: router.hedges(),
+        placement_routed: router.placement_routed(),
+        ..HostStats::default()
+    };
+    routed.fill_registry(&mut registry, config);
+    stats.merge(&routed);
     // Each hedged dispatch lands in the fleet histogram exactly once,
     // as its joined (faster) outcome — in dispatch order, which is
     // host-schedule-independent. The time-series records the joined
@@ -709,7 +560,7 @@ pub fn run_fleet(
     for outcome in hedge_pairs.values() {
         let latency_us_value = (outcome.latency_ms * 1000.0).round() as u64;
         latency_us.record(latency_us_value);
-        run.latency_sum_ms += outcome.latency_ms;
+        stats.latency_sum_ms += outcome.latency_ms;
         series.record_arrival(outcome.at_ms);
         series.record_outcome(
             outcome.at_ms,
@@ -721,25 +572,27 @@ pub fn run_fleet(
     // Canonical span order: (trace lane, span id), independent of which
     // thread ran which shard.
     sort_canonical(&mut spans);
-    run.spans = spans;
-    run.timeline = series.rows();
     registry.gauge_set("fleet.hosts", config.hosts as f64);
-    if run.resilient {
-        registry.counter_add("fleet.failovers", run.failovers);
-        registry.counter_add("fleet.hedges", run.hedges);
+    // Each host's pool set this gauge to its own count; gauges of parts
+    // add up to the whole (the convention `Registry::merge` documents),
+    // so the fleet's is the total.
+    registry.gauge_set("pool.warm_instances", stats.warm_instances as f64);
+    if config.admission.enabled && stats.invocations == 0 && stats.shed > 0 {
+        return Err(SimError::admission_rejected(stats.shed));
     }
-    // Route-phase placement counter, only under the policy that scores
-    // placements — every other policy keeps its exact export shape.
-    if config.policy == RoutingPolicy::PlacementAware {
-        registry.counter_add("fleet.placement_routed", run.placement_routed);
-    }
-    run.snapshot = registry.snapshot();
-    run.latency_us = latency_us;
-    run.events = events;
-    if config.admission.enabled && run.invocations == 0 && run.shed > 0 {
-        return Err(SimError::admission_rejected(run.shed));
-    }
-    Ok(run)
+    Ok(FleetRun {
+        config: FleetConfig {
+            threads: 1,
+            ..config.clone()
+        },
+        jukebox,
+        stats,
+        latency_us,
+        per_host,
+        snapshot: registry.snapshot(),
+        spans,
+        timeline: series.rows(),
+    })
 }
 
 /// A base-vs-Jukebox pair over identical traffic.
@@ -783,8 +636,8 @@ impl std::fmt::Display for FleetRun {
         writeln!(
             f,
             "fleet: {} hosts, policy {}, jukebox {}",
-            self.hosts,
-            self.policy,
+            self.config.hosts,
+            self.config.policy,
             if self.jukebox { "on" } else { "off" }
         )?;
         writeln!(
@@ -797,7 +650,7 @@ impl std::fmt::Display for FleetRun {
             self.p50_ms(),
             self.p99_ms(),
         )?;
-        if self.traced {
+        if self.config.tracing_enabled() {
             let roots = self.spans.iter().filter(|s| s.id == 0).count();
             writeln!(
                 f,
@@ -806,10 +659,10 @@ impl std::fmt::Display for FleetRun {
                 roots
             )?;
         }
-        if self.windowed {
+        if self.config.series_enabled() {
             writeln!(f, "  timeline: {} windows", self.timeline.len())?;
         }
-        if self.prewarmed {
+        if self.config.prewarm_enabled() {
             writeln!(
                 f,
                 "  prewarm: {:.0} instance-s memory | {} scheduled | {} spawned | {} hits | {} early decays",
@@ -820,7 +673,7 @@ impl std::fmt::Display for FleetRun {
                 self.early_decays,
             )?;
         }
-        if self.tenant {
+        if self.config.tenancy_enabled() {
             writeln!(
                 f,
                 "  tenancy: {} shared pages | {:.1}% hit rate | {:.2} MiB deduped | {} placement-routed | {} slowed | {:.1}ms contention",
@@ -832,7 +685,7 @@ impl std::fmt::Display for FleetRun {
                 self.contention_extra_ms,
             )?;
         }
-        if self.resilient {
+        if self.config.resilience_enabled() {
             writeln!(
                 f,
                 "  resilience: {} host crashes | {} failovers | {} hedges | {} retries | {} shed | {} degraded restores",
@@ -892,8 +745,8 @@ impl Export for FleetRun {
             ],
         );
         summary.push_row(vec![
-            Value::str(self.policy.label()),
-            Value::UInt(self.hosts as u64),
+            Value::str(self.config.policy.label()),
+            Value::UInt(self.config.hosts as u64),
             Value::UInt(u64::from(self.jukebox)),
             Value::UInt(self.invocations),
             Value::Float(self.cold_start_rate()),
@@ -932,7 +785,7 @@ impl Export for FleetRun {
         let mut out = vec![summary, hosts];
         // The prediction dataset only exists when the policy was on —
         // disabled runs keep their exact pre-prediction export shape.
-        if self.prewarmed {
+        if self.config.prewarm_enabled() {
             let mut prewarm = Dataset::new(
                 "fleet.prewarm",
                 &[
@@ -956,7 +809,7 @@ impl Export for FleetRun {
         }
         // The tenancy dataset only exists when some tenancy knob was on
         // — disabled runs keep their exact pre-tenancy export shape.
-        if self.tenant {
+        if self.config.tenancy_enabled() {
             let mut tenancy = Dataset::new(
                 "fleet.tenancy",
                 &[
@@ -986,7 +839,7 @@ impl Export for FleetRun {
         }
         // Resilience is a third dataset only when some knob was on —
         // default runs keep their exact pre-resilience export shape.
-        if self.resilient {
+        if self.config.resilience_enabled() {
             let mut resilience = Dataset::new(
                 "fleet.resilience",
                 &[
@@ -1014,7 +867,7 @@ impl Export for FleetRun {
         }
         // The causal span forest, only when sampling was on: default
         // runs keep their exact export shape.
-        if self.traced {
+        if self.config.tracing_enabled() {
             let mut spans = Dataset::new(
                 "fleet.spans",
                 &[
@@ -1037,7 +890,7 @@ impl Export for FleetRun {
         }
         // The windowed timeline, only when a window width was set. Empty
         // percentiles export as NaN, which the JSON writer renders null.
-        if self.windowed {
+        if self.config.series_enabled() {
             let mut timeline = Dataset::new(
                 "fleet.timeline",
                 &[
@@ -1090,8 +943,8 @@ impl Export for FleetComparison {
         }
         let mut speedup = Dataset::new("fleet.speedup", &["policy", "hosts", "speedup"]);
         speedup.push_row(vec![
-            Value::str(self.base.policy.label()),
-            Value::UInt(self.base.hosts as u64),
+            Value::str(self.base.config.policy.label()),
+            Value::UInt(self.base.config.hosts as u64),
             Value::Float(self.speedup()),
         ]);
         out.push(speedup);
@@ -1102,6 +955,7 @@ impl Export for FleetComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::RoutingPolicy;
     use workloads::paper_suite;
 
     fn quick_config() -> FleetConfig {
@@ -1196,7 +1050,7 @@ mod tests {
     #[test]
     fn default_run_computes_memory_but_exports_no_prewarm_dataset() {
         let run = run_fleet(&quick_config(), &model(), false).unwrap();
-        assert!(!run.prewarmed);
+        assert!(!run.config.prewarm_enabled());
         assert!(run.memory_ms > 0.0, "fixed policies have a memory bill too");
         assert_eq!(run.prewarm_spawns, 0);
         assert!(!luke_obs::export::to_json(&run.datasets()).contains("fleet.prewarm"));
@@ -1210,7 +1064,7 @@ mod tests {
             ..quick_config()
         };
         let run = run_fleet(&config, &model(), false).unwrap();
-        assert!(run.prewarmed);
+        assert!(run.config.prewarm_enabled());
         assert!(run.early_decays > 0, "the adaptive policy never engaged");
         let json = luke_obs::export::to_json(&run.datasets());
         assert!(json.contains("fleet.prewarm"));
@@ -1248,7 +1102,7 @@ mod tests {
     fn tenancy_run_exports_the_tenancy_dataset_and_dedup_pays_off() {
         let m = model();
         let base = run_fleet(&quick_config(), &m, false).unwrap();
-        assert!(!base.tenant);
+        assert!(!base.config.tenancy_enabled());
         assert!(!luke_obs::export::to_json(&base.datasets()).contains("fleet.tenancy"));
         let config = FleetConfig {
             cold_start_model: luke_snapshot::ColdStartModel::ReapPrefetch,
@@ -1256,7 +1110,7 @@ mod tests {
             ..quick_config()
         };
         let run = run_fleet(&config, &m, false).unwrap();
-        assert!(run.tenant);
+        assert!(run.config.tenancy_enabled());
         assert!(run.shared_pages > 0, "suite functions share runtime pages");
         assert!(run.dedup_hits > 0, "co-resident instances must dedup");
         assert!(run.shared_page_hit_rate() > 0.0);
@@ -1447,30 +1301,6 @@ mod tests {
     }
 
     #[test]
-    fn events_merge_in_host_order() {
-        let config = FleetConfig {
-            events_capacity: 100_000,
-            ..quick_config()
-        };
-        let run = run_fleet(&config, &model(), false).unwrap();
-        if cfg!(feature = "obs_disabled") {
-            assert!(run.events.is_empty(), "recording is compiled out");
-            return;
-        }
-        assert!(!run.events.is_empty(), "tracing was enabled");
-        // Dispatch events carry the host id in `b`; host order must be
-        // non-decreasing across the merged ring.
-        let hosts: Vec<u64> = run
-            .events
-            .events()
-            .iter()
-            .filter(|e| e.kind == luke_obs::EventKind::Dispatch)
-            .map(|e| e.b)
-            .collect();
-        assert!(hosts.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
     fn invalid_config_is_rejected_before_any_work() {
         let err = run_fleet(
             &FleetConfig {
@@ -1509,7 +1339,7 @@ mod tests {
     #[test]
     fn chaos_crashes_hosts_and_routing_fails_over() {
         let run = run_fleet(&chaotic_config(), &model(), false).unwrap();
-        assert!(run.resilient);
+        assert!(run.config.resilience_enabled());
         assert!(run.host_crashes > 0, "15s MTBF over ~50s must crash");
         assert!(run.failovers > 0, "open breakers must divert traffic");
         assert_eq!(run.snapshot.counter("fleet.host_crashes"), run.host_crashes);
@@ -1525,7 +1355,7 @@ mod tests {
     #[test]
     fn default_run_exports_no_resilience_series() {
         let run = run_fleet(&quick_config(), &model(), false).unwrap();
-        assert!(!run.resilient);
+        assert!(!run.config.resilience_enabled());
         assert_eq!(run.datasets().len(), 2);
         let json = run.snapshot.to_json();
         for key in ["fleet.host_crashes", "fleet.failovers", "admission.", "fleet.retries"] {
@@ -1592,7 +1422,7 @@ mod tests {
             ..chaotic_config()
         };
         let run = run_fleet(&config, &model(), false).unwrap();
-        assert!(run.traced && run.windowed);
+        assert!(run.config.tracing_enabled() && run.config.series_enabled());
         let datasets = run.datasets();
         let names: Vec<&str> = datasets.iter().map(|d| d.name.as_str()).collect();
         assert!(names.contains(&"fleet.spans"));

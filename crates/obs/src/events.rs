@@ -24,9 +24,6 @@ pub enum EventKind {
     /// A prefetcher issued a batch of lines at dispatch. `a` = lines
     /// issued, `b` = redundant (already-cached) issues.
     PrefetchBatch = 2,
-    /// The fault model drew a fault for an attempt. `a` = fault-kind
-    /// index, `b` = attempt number.
-    FaultDraw = 3,
     /// The invocation retired. `a` = instructions retired, `b` = cycles.
     Retire = 4,
 }
@@ -38,7 +35,6 @@ impl EventKind {
             EventKind::Dispatch => "dispatch",
             EventKind::FetchStall => "fetch_stall",
             EventKind::PrefetchBatch => "prefetch_batch",
-            EventKind::FaultDraw => "fault_draw",
             EventKind::Retire => "retire",
         }
     }
@@ -133,16 +129,6 @@ impl EventRing {
     #[inline(always)]
     pub fn record(&mut self, _event: Event) {}
 
-    /// Replays every event held by `other` (oldest first) into this
-    /// ring, subject to this ring's own capacity and overwrite policy.
-    /// Used to merge per-shard rings in shard-index order after a
-    /// parallel fleet run.
-    pub fn extend_from(&mut self, other: &EventRing) {
-        for event in other.events() {
-            self.record(event);
-        }
-    }
-
     /// Discards all held events (capacity is retained).
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -219,26 +205,6 @@ mod tests {
         assert!(ring.is_empty());
     }
 
-    #[cfg(not(feature = "obs_disabled"))]
-    #[test]
-    fn extend_from_replays_in_order_and_respects_capacity() {
-        let mut a = EventRing::with_capacity(4);
-        a.record(ev(1, EventKind::Dispatch));
-        a.record(ev(2, EventKind::Retire));
-        let mut b = EventRing::with_capacity(4);
-        b.record(ev(3, EventKind::Dispatch));
-        b.record(ev(4, EventKind::Retire));
-        b.record(ev(5, EventKind::Retire));
-        a.extend_from(&b);
-        let held: Vec<u64> = a.events().iter().map(|e| e.ts).collect();
-        // Capacity 4: oldest event (ts=1) was overwritten.
-        assert_eq!(held, vec![2, 3, 4, 5]);
-        assert_eq!(a.total_recorded(), 5);
-        // Extending from an empty ring changes nothing.
-        a.extend_from(&EventRing::disabled());
-        assert_eq!(a.len(), 4);
-    }
-
     #[cfg(feature = "obs_disabled")]
     #[test]
     fn obs_disabled_compiles_recording_out() {
@@ -253,7 +219,6 @@ mod tests {
         assert_eq!(EventKind::Dispatch.label(), "dispatch");
         assert_eq!(EventKind::FetchStall.label(), "fetch_stall");
         assert_eq!(EventKind::PrefetchBatch.label(), "prefetch_batch");
-        assert_eq!(EventKind::FaultDraw.label(), "fault_draw");
         assert_eq!(EventKind::Retire.label(), "retire");
     }
 }

@@ -11,7 +11,7 @@
 //!   and diffable between invocations;
 //! * [`events`] — a bounded, zero-allocation [`events::EventRing`]
 //!   recording the invocation lifecycle (dispatch → fetch stalls →
-//!   prefetch batches → fault draws → retire), with an `obs_disabled`
+//!   prefetch batches → retire), with an `obs_disabled`
 //!   feature that compiles recording out entirely;
 //! * [`export`] — the [`export::Dataset`] table IR every experiment
 //!   renders into, plus JSON and CSV writers;

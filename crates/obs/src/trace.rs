@@ -59,7 +59,6 @@ fn arg_names(kind: EventKind) -> (&'static str, &'static str) {
         EventKind::Dispatch => ("invocation", "reserved"),
         EventKind::FetchStall => ("line", "hit_level"),
         EventKind::PrefetchBatch => ("issued", "redundant"),
-        EventKind::FaultDraw => ("fault_kind", "attempt"),
         EventKind::Retire => ("instructions", "cycles"),
     }
 }

@@ -13,7 +13,7 @@
 use luke_common::rng::DetRng;
 use luke_common::SimError;
 use luke_obs::span::{SpanKind, SpanRing, SpanScope};
-use luke_obs::{Event, EventKind, EventRing, Registry};
+use luke_obs::Registry;
 
 /// The kinds of fault the plan can inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -197,33 +197,17 @@ impl FaultPlan {
         costs: &AttemptCosts,
         stats: &mut FaultStats,
     ) -> InvocationResult {
-        self.run_invocation_traced(policy, invocation, costs, stats, &mut EventRing::disabled())
-    }
-
-    /// [`FaultPlan::run_invocation`] with lifecycle tracing: every fault
-    /// that strikes is recorded into `events` as a
-    /// [`EventKind::FaultDraw`] (timestamp = accumulated latency in µs,
-    /// `a` = fault-kind index into [`FaultKind::ALL`], `b` = attempt).
-    pub fn run_invocation_traced(
-        &self,
-        policy: &RetryPolicy,
-        invocation: u64,
-        costs: &AttemptCosts,
-        stats: &mut FaultStats,
-        events: &mut EventRing,
-    ) -> InvocationResult {
         self.run_invocation_spanned(
             policy,
             invocation,
             costs,
             stats,
-            events,
             &mut SpanScope::new(&mut SpanRing::disabled(), 0, 4),
             0.0,
         )
     }
 
-    /// [`FaultPlan::run_invocation_traced`] with causal span emission:
+    /// [`FaultPlan::run_invocation`] with causal span emission:
     /// each attempt's snapshot restore, execution and retry backoff is
     /// recorded into `spans` as a child covering *exactly* the latency
     /// window it contributed, offset by `base_ms` (the down-host wait the
@@ -235,14 +219,12 @@ impl FaultPlan {
     /// the invariant the span critical-path tests assert. Span recording
     /// never draws randomness, so a disabled scope reproduces
     /// [`FaultPlan::run_invocation`] bit-for-bit.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_invocation_spanned(
         &self,
         policy: &RetryPolicy,
         invocation: u64,
         costs: &AttemptCosts,
         stats: &mut FaultStats,
-        events: &mut EventRing,
         spans: &mut SpanScope<'_>,
         base_ms: f64,
     ) -> InvocationResult {
@@ -252,13 +234,6 @@ impl FaultPlan {
         let mut needs_spawn = costs.starts_cold || self.evicted_before(invocation);
         if !costs.starts_cold && needs_spawn {
             stats.evictions += 1;
-            events.record(Event {
-                ts: 0,
-                dur: 0,
-                kind: EventKind::FaultDraw,
-                a: fault_kind_index(FaultKind::MemoryPressureEviction),
-                b: 0,
-            });
         }
 
         let mut attempt: u64 = 0;
@@ -308,13 +283,6 @@ impl FaultPlan {
                         }
                         FaultKind::MemoryPressureEviction => {}
                     }
-                    events.record(Event {
-                        ts: (latency_ms * 1000.0) as u64,
-                        dur: 0,
-                        kind: EventKind::FaultDraw,
-                        a: fault_kind_index(kind),
-                        b: attempt,
-                    });
                     // A crash tears the instance down; the retry must
                     // spawn a fresh one.
                     if kind == FaultKind::InstanceCrash {
@@ -371,12 +339,6 @@ impl FaultPlan {
         }
         None
     }
-}
-
-/// Index of `kind` within [`FaultKind::ALL`] — the stable encoding used
-/// by [`EventKind::FaultDraw`] payloads.
-pub fn fault_kind_index(kind: FaultKind) -> u64 {
-    FaultKind::ALL.iter().position(|&k| k == kind).unwrap_or(0) as u64
 }
 
 /// Latency model for one invocation attempt, in milliseconds.
@@ -924,56 +886,6 @@ mod tests {
         assert_eq!(s1, s2);
     }
 
-    #[test]
-    fn traced_run_records_fault_draws() {
-        let plan = FaultPlan::new(
-            5,
-            FaultRates {
-                crash: 0.0,
-                timeout: 1.0,
-                cold_start_failure: 0.0,
-                memory_pressure: 0.0,
-            },
-        )
-        .unwrap();
-        let mut stats = FaultStats::default();
-        let mut events = EventRing::with_capacity(64);
-        let r = plan.run_invocation_traced(
-            &RetryPolicy::no_retry(),
-            0,
-            &warm_costs(),
-            &mut stats,
-            &mut events,
-        );
-        assert!(!r.completed);
-        if cfg!(feature = "obs_disabled") {
-            return;
-        }
-        let drawn = events.take_events();
-        assert_eq!(drawn.len(), 1);
-        assert_eq!(drawn[0].kind, EventKind::FaultDraw);
-        assert_eq!(
-            drawn[0].a,
-            fault_kind_index(FaultKind::InvocationTimeout)
-        );
-    }
-
-    #[test]
-    fn traced_and_plain_runs_agree() {
-        let plan = FaultPlan::new(23, FaultRates::uniform(0.3)).unwrap();
-        let policy = RetryPolicy::default();
-        let costs = warm_costs();
-        let mut s1 = FaultStats::default();
-        let mut s2 = FaultStats::default();
-        let mut events = EventRing::with_capacity(4096);
-        for n in 0..200 {
-            let a = plan.run_invocation(&policy, n, &costs, &mut s1);
-            let b = plan.run_invocation_traced(&policy, n, &costs, &mut s2, &mut events);
-            assert_eq!(a, b);
-        }
-        assert_eq!(s1, s2);
-    }
-
     #[cfg(not(feature = "obs_disabled"))]
     #[test]
     fn spanned_run_children_telescope_to_exact_latency() {
@@ -996,7 +908,6 @@ mod tests {
                 n,
                 &costs,
                 &mut stats,
-                &mut EventRing::disabled(),
                 &mut scope,
                 base,
             );

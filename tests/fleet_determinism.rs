@@ -1,9 +1,8 @@
 //! Proof of the fleet simulator's headline property: the worker-thread
 //! count is results-neutral. A 1-thread run and a 4-thread run of the
 //! same config produce bit-identical telemetry snapshots, latency
-//! histograms, per-host summaries, lifecycle traces, and exported
-//! JSON/CSV — with and without fault injection, and for every routing
-//! policy.
+//! histograms, per-host summaries, and exported JSON/CSV — with and
+//! without fault injection, and for every routing policy.
 
 use lukewarm::fleet::{
     run_fleet, run_fleet_pair, AdmissionConfig, CalendarQueue, ChaosConfig, ColdStartModel,
@@ -23,7 +22,6 @@ fn sweep_config() -> FleetConfig {
         hosts: 64,
         invocations: 64 * 500,
         population: 200,
-        events_capacity: 256,
         ..FleetConfig::default()
     }
 }
@@ -37,7 +35,6 @@ fn assert_bit_identical(a: &lukewarm::fleet::FleetRun, b: &lukewarm::fleet::Flee
     assert_eq!(a.snapshot.to_json(), b.snapshot.to_json(), "snapshot");
     assert_eq!(a.latency_us, b.latency_us, "latency histogram");
     assert_eq!(a.per_host, b.per_host, "per-host summaries");
-    assert_eq!(a.events.events(), b.events.events(), "lifecycle trace");
     assert_eq!(to_json(&a.datasets()), to_json(&b.datasets()), "JSON export");
     assert_eq!(to_csv(&a.datasets()), to_csv(&b.datasets()), "CSV export");
 }
@@ -287,8 +284,8 @@ fn disabled_resilience_reproduces_the_plain_fleet_bit_for_bit() {
 }
 
 /// A quick 2,048-host fleet with every event source live: seeded chaos
-/// crashes and degradation, hedged failover, predictive pre-warming with
-/// adaptive keep-alive, and lifecycle tracing — the worst case for the
+/// crashes and degradation, hedged failover, and predictive pre-warming
+/// with adaptive keep-alive — the worst case for the
 /// streaming producer + work-stealing pipeline, since keep-alive expiry,
 /// pre-restore, and chaos timers all flow through each host's calendar
 /// queue while workers steal shards out of order.
@@ -297,7 +294,6 @@ fn quick_scale_config() -> FleetConfig {
         hosts: 2_048,
         invocations: 2_048 * 8,
         population: 4_096,
-        events_capacity: 8,
         keep_alive_ms: 30_000.0,
         chaos: ChaosConfig {
             host_mtbf_ms: 20_000.0,

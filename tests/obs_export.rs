@@ -254,10 +254,13 @@ fn resilience_counters_all_reach_the_export() {
     // A fleet run with chaos, hedged failover, a retry budget and tight
     // admission limits under a flash crowd must export the whole
     // resilience counter family — and a default run must export none of
-    // it (bit-transparency of the disabled stack).
+    // it (bit-transparency of the disabled stack). With prediction and
+    // tenancy on as well, every exported fleet count must equal the
+    // run's own.
     use lukewarm::fleet::{
-        run_fleet, AdmissionConfig, ChaosConfig, FleetConfig, HedgeConfig, RetryBudget,
-        ServiceModel, SurgeConfig,
+        run_fleet, AdmissionConfig, ChaosConfig, ColdStartModel, ContentionConfig, FleetConfig,
+        HedgeConfig, PrewarmConfig, RetryBudget, RoutingPolicy, ServiceModel, SurgeConfig,
+        TenancyConfig,
     };
     use lukewarm::workloads::paper_suite;
 
@@ -339,6 +342,87 @@ fn resilience_counters_all_reach_the_export() {
     let json = plain.snapshot.to_json();
     for key in ["fleet.host_crashes", "fleet.failovers", "fleet.hedges", "admission."] {
         assert!(!json.contains(key), "{key} leaked into a default run");
+    }
+
+    // Every feature on: the registry and the run agree on every count.
+    let all_on = FleetConfig {
+        policy: RoutingPolicy::PlacementAware,
+        cold_start_model: ColdStartModel::ReapPrefetch,
+        prewarm: PrewarmConfig::default_enabled(),
+        tenancy: TenancyConfig {
+            contention: ContentionConfig {
+                capacity_bytes: 4 << 20,
+                ..ContentionConfig::default_enabled()
+            },
+            ..TenancyConfig::default_enabled()
+        },
+        ..config
+    };
+    let run = run_fleet(&all_on, &model, false).expect("valid config");
+    let table: &[(&str, u64)] = &[
+        ("fleet.invocations", run.invocations),
+        ("fleet.cold_starts", run.cold_starts),
+        ("fleet.warm_hits", run.warm_hits),
+        ("fleet.lukewarm_hits", run.lukewarm_hits),
+        ("fleet.host_crashes", run.host_crashes),
+        ("fleet.retries", run.retries),
+        ("fleet.down_failures", run.down_failures),
+        ("fleet.failovers", run.failovers),
+        ("fleet.hedges", run.hedges),
+        ("fleet.placement_routed", run.placement_routed),
+        ("admission.admitted", run.admitted),
+        ("admission.degraded_restores", run.degraded_restores),
+        ("admission.shed", run.shed),
+        ("predict.prewarms_scheduled", run.prewarms_scheduled),
+        ("predict.prewarm_spawns", run.prewarm_spawns),
+        ("predict.prewarm_hits", run.prewarm_hits),
+        ("predict.early_decays", run.early_decays),
+        ("tenancy.shared_pages", run.shared_pages),
+        ("tenancy.dedup_hits", run.dedup_hits),
+        ("tenancy.dedup_bytes_saved", run.dedup_bytes_saved),
+        ("tenancy.slowed_invocations", run.slowed_invocations),
+    ];
+    for &(name, value) in table {
+        assert_eq!(run.snapshot.counter(name), value, "{name}");
+    }
+    // The contention total is rounded to whole ms once per host.
+    let slowdown = run.snapshot.counter("tenancy.contention_slowdown") as f64;
+    assert!(
+        (slowdown - run.contention_extra_ms).abs() <= 0.5 * all_on.hosts as f64,
+        "tenancy.contention_slowdown {slowdown} vs {} ms",
+        run.contention_extra_ms
+    );
+    // And the table covers every counter of those families.
+    for name in run.snapshot.counter_names() {
+        let family = ["fleet.", "admission.", "predict.", "tenancy."]
+            .iter()
+            .any(|prefix| name.starts_with(prefix));
+        let checked = name == "tenancy.contention_slowdown"
+            || table.iter().any(|&(row, _)| row == name);
+        assert!(!family || checked, "{name} is not checked against the run");
+    }
+}
+
+#[test]
+fn fleet_warm_instances_gauge_is_the_fleet_total() {
+    // Every host's pool sets the gauge to its own count; the merged
+    // snapshot must report the fleet's warm pool, whatever the threads.
+    use lukewarm::fleet::{run_fleet, FleetConfig, ServiceModel};
+    use lukewarm::workloads::paper_suite;
+
+    let model = ServiceModel::analytic(&paper_suite()).expect("paper suite is valid");
+    for threads in [1, 4] {
+        let config = FleetConfig {
+            threads,
+            ..FleetConfig::default()
+        };
+        let run = run_fleet(&config, &model, false).expect("valid config");
+        let total: usize = run.per_host.iter().map(|h| h.warm_instances).sum();
+        assert_eq!(
+            run.snapshot.gauge("pool.warm_instances"),
+            Some(total as f64),
+            "{threads} thread(s)"
+        );
     }
 }
 

@@ -75,7 +75,7 @@ fn by_trace(run: &FleetRun) -> BTreeMap<u64, Vec<&luke_obs::Span>> {
 #[test]
 fn every_sampled_lane_telescopes_to_its_root() {
     let run = heavy_chaos_run();
-    assert!(run.traced && !run.spans.is_empty());
+    assert!(run.config.tracing_enabled() && !run.spans.is_empty());
     let lanes = by_trace(&run);
     // trace_sample = 1: every arrival (served or shed) gets exactly one
     // primary lane.
@@ -200,7 +200,7 @@ fn default_config_records_no_spans_and_no_extra_datasets() {
         ..FleetConfig::default()
     };
     let run = run_fleet(&config, &model(), false).expect("valid config");
-    assert!(!run.traced && !run.windowed);
+    assert!(!run.config.tracing_enabled() && !run.config.series_enabled());
     assert!(run.spans.is_empty());
     assert!(run.timeline.is_empty());
     let names: Vec<String> = run.datasets().into_iter().map(|d| d.name).collect();
