@@ -12,6 +12,7 @@
 //! order, on any number of threads, and merging their state in host-id
 //! order reproduces the sequential run bit for bit.
 
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use luke_common::rng::DetRng;
@@ -138,6 +139,55 @@ impl HostTables {
     }
 }
 
+/// What one host knows about one function, from that function's first
+/// arrival on the host. A host holds one slot per function it has
+/// served, so its per-function state grows with what it serves, not
+/// with the population deployed fleet-wide.
+#[derive(Clone, Debug)]
+struct FnState {
+    /// The function's live instance id, if it has one.
+    live: Option<u64>,
+    /// Invocations of the function seen by this host — the "own rate"
+    /// term of the interleaving estimate.
+    invocations: u64,
+    /// The time of the function's expiry entry currently in the queue —
+    /// the lazy-invalidation key. A popped entry whose time no longer
+    /// matches was superseded by a re-key and is dropped; a matching
+    /// entry re-checks the true idle predicate before acting, so at
+    /// most one expiry entry per function does work.
+    expiry_queued: Option<f64>,
+    /// Retry-budget token bucket (always 0 and unread when the budget
+    /// is unlimited).
+    retry_tokens: f64,
+    /// The simulated time a pending pre-restored instance becomes
+    /// ready, while one is waiting untouched for its predicted arrival.
+    prewarm_ready: Option<f64>,
+    /// Most recent observed restore (or boot) cost, ms — the lead time
+    /// pre-warms are back-dated by. Until a restore is observed it is
+    /// the flat boot cost, the only estimate available cold.
+    last_restore_ms: f64,
+    /// The scheduled time of the valid pre-warm timer, if any. Each
+    /// model observation *replaces* the function's pending pre-restore,
+    /// so updating this key is what cancels a stale timer still sitting
+    /// in the queue.
+    prewarm_pending: Option<f64>,
+}
+
+impl FnState {
+    /// The state a function starts from on its first arrival at a host.
+    fn new(config: &FleetConfig) -> Self {
+        FnState {
+            live: None,
+            invocations: 0,
+            expiry_queued: None,
+            retry_tokens: config.retry_budget.initial_tokens(),
+            prewarm_ready: None,
+            last_restore_ms: config.cold_start_ms,
+            prewarm_pending: None,
+        }
+    }
+}
+
 /// One host's complete simulation state.
 #[derive(Clone, Debug)]
 pub struct FleetHost {
@@ -145,15 +195,13 @@ pub struct FleetHost {
     pub host_id: usize,
     pool: InstancePool,
     faults: FaultPlan,
-    /// Live instance id per logical function, stored as `id + 1` with
-    /// `0` meaning none. The all-zero empty encoding lets the table
-    /// come from a lazily-faulted zero mapping: a host only ever
-    /// touches the slots of functions routed to it, so a 2,048-host
-    /// fleet doesn't memset O(hosts × population) at construction.
-    live: Vec<u64>,
-    /// Invocations of each logical function seen by this host — the
-    /// "own rate" term of the interleaving estimate.
-    fn_invocations: Vec<u64>,
+    /// Slot in `fns` per logical function, stored as `slot + 1`, or
+    /// `None` before the function's first arrival here. The only
+    /// population-length table a host keeps: 4 B per function.
+    slot_of: Vec<Option<NonZeroU32>>,
+    /// Per-function state of every function this host has served, in
+    /// first-arrival order.
+    fns: Vec<FnState>,
     /// The counts this host keeps as it goes. The admission, tenancy
     /// and predictor-bank counts live in those components and join
     /// these in [`FleetHost::stats`].
@@ -177,39 +225,16 @@ pub struct FleetHost {
     series_slo_ms: f64,
     /// Admission controller (present only when enabled).
     admission: Option<AdmissionControl>,
-    /// Per-function retry-budget token buckets (empty when unlimited).
-    retry_tokens: Vec<f64>,
     /// Seed for down-host reconnect backoff jitter.
     chaos_seed: u64,
     /// Predictive pre-warm / adaptive keep-alive policy bank (present
     /// only when prediction is enabled; `None` takes the exact
     /// fixed-keep-alive code path).
     prewarm: Option<PredictorBank>,
-    /// Per function: the simulated time a pending pre-restored instance
-    /// becomes ready, while one is waiting untouched for its predicted
-    /// arrival. Empty when prediction is disabled.
-    prewarm_ready: Vec<Option<f64>>,
-    /// Most recent observed restore (or boot) cost per function, ms —
-    /// the lead time pre-warms are back-dated by. Empty when prediction
-    /// is disabled.
-    last_restore_ms: Vec<f64>,
     /// The host's private calendar queue: keep-alive expiries,
     /// adaptive-decay re-checks, and pre-warm timers, drained at each
     /// arrival boundary (see [`crate::event`]).
     timers: CalendarQueue,
-    /// Per function: the time of its expiry entry currently in the
-    /// queue — the lazy-invalidation key, `0.0` meaning none (real
-    /// deadlines are strictly positive). A popped entry whose time no
-    /// longer matches was superseded by a re-key and is dropped; a
-    /// matching entry re-checks the true idle predicate before acting,
-    /// so at most one expiry entry per function does work. Zero-encoded
-    /// for the same lazily-faulted construction as `live`.
-    expiry_queued: Vec<f64>,
-    /// Per function: the scheduled time of the valid pre-warm timer, if
-    /// any. Each model observation *replaces* the function's pending
-    /// pre-restore, so updating this key is what cancels a stale timer
-    /// still sitting in the queue. Empty when prediction is disabled.
-    prewarm_pending: Vec<Option<f64>>,
     /// Cross-function page sharing and contention state (present only
     /// when some tenancy knob is on; `None` takes the exact pre-tenancy
     /// code path).
@@ -272,30 +297,15 @@ impl FleetHost {
             .priorities
             .as_ref()
             .map(|priorities| AdmissionControl::new(config.admission, Arc::clone(priorities)));
-        let retry_tokens = if config.retry_budget.is_limited() {
-            vec![config.retry_budget.initial_tokens(); config.population]
-        } else {
-            Vec::new()
-        };
         let prewarm = config.prewarm.enabled.then(|| {
             PredictorBank::new(config.prewarm, config.population, config.keep_alive_ms)
         });
-        let (prewarm_ready, last_restore_ms) = if config.prewarm.enabled {
-            // Until a restore is observed, pre-warms are back-dated by
-            // the flat boot cost — the only estimate available cold.
-            (
-                vec![None; config.population],
-                vec![config.cold_start_ms; config.population],
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
         FleetHost {
             host_id,
             pool,
             faults,
-            live: vec![0; config.population],
-            fn_invocations: vec![0; config.population],
+            slot_of: vec![None; config.population],
+            fns: Vec::new(),
             stats: HostStats::default(),
             latency_us: Histogram::new(),
             fault_stats: FaultStats::default(),
@@ -306,23 +316,34 @@ impl FleetHost {
             series: TimeWindows::new(config.series_window_ms),
             series_slo_ms: config.series_slo_ms,
             admission,
-            retry_tokens,
             chaos_seed: DetRng::new(config.seed)
                 .split(DOWN_STREAM)
                 .split(host_id as u64)
                 .seed(),
             prewarm,
-            prewarm_ready,
-            last_restore_ms,
             timers: CalendarQueue::new(),
-            expiry_queued: vec![0.0; config.population],
-            prewarm_pending: if config.prewarm.enabled {
-                vec![None; config.population]
-            } else {
-                Vec::new()
-            },
             tenancy: HostTenancy::new(config, tables),
         }
+    }
+
+    /// `function`'s slot, created on its first arrival here.
+    fn slot_for(&mut self, config: &FleetConfig, function: usize) -> usize {
+        match self.slot_of[function] {
+            Some(slot) => slot.get() as usize - 1,
+            None => {
+                self.fns.push(FnState::new(config));
+                let number = u32::try_from(self.fns.len()).ok().and_then(NonZeroU32::new);
+                self.slot_of[function] =
+                    Some(number.expect("a host serves at most u32::MAX functions"));
+                self.fns.len() - 1
+            }
+        }
+    }
+
+    /// The slot of `function`, which has arrived on this host (every
+    /// queued timer belongs to such a function).
+    fn slot(&self, function: usize) -> usize {
+        self.slot_of[function].expect("timer for a function this host served").get() as usize - 1
     }
 
     /// Applies every chaos crash boundary at or before `at`: the pool is
@@ -333,8 +354,10 @@ impl FleetHost {
             && self.schedule.crash_start(self.next_crash) <= at
         {
             self.pool.evict_all();
-            self.live.fill(0);
-            self.prewarm_ready.fill(None);
+            for state in &mut self.fns {
+                state.live = None;
+                state.prewarm_ready = None;
+            }
             if let Some(tenancy) = self.tenancy.as_mut() {
                 tenancy.clear_resident();
             }
@@ -348,13 +371,13 @@ impl FleetHost {
     fn retire(
         &mut self,
         routed: RoutedInvocation,
-        function: usize,
+        slot: usize,
         latency_ms: f64,
         completed: bool,
         class: StartClass,
     ) -> f64 {
         self.stats.invocations += 1;
-        self.fn_invocations[function] += 1;
+        self.fns[slot].invocations += 1;
         if routed.hedge {
             // Hedge copies report through the side list; the merge joins
             // the pair and records the winner (histogram and series).
@@ -380,12 +403,6 @@ impl FleetHost {
         self.series_slo_ms > 0.0 && latency_ms > self.series_slo_ms
     }
 
-    /// Takes (and clears) the pending-prewarm ready time for `function`.
-    /// Always `None` when prediction is disabled (the vector is empty).
-    fn take_prewarm_ready(&mut self, function: usize) -> Option<f64> {
-        self.prewarm_ready.get_mut(function).and_then(Option::take)
-    }
-
     /// Shareable pages of `function` already resident on this host —
     /// the restore discount. Always 0 with tenancy off (or dedup off),
     /// which prices the restore identically to the pre-tenancy path.
@@ -395,35 +412,43 @@ impl FleetHost {
             .map_or(0, |tenancy| tenancy.resident_pages(function))
     }
 
-    /// Registers a freshly-spawned instance's pages and weights its
-    /// pool memory accounting by the deduped fraction. No-op with
-    /// tenancy off (weight stays at the spawn default 1.0).
-    fn tenancy_register(&mut self, function: usize, id: u64) {
+    /// Makes the freshly-spawned instance `id` `function`'s live one:
+    /// registers its pages and weights its pool memory accounting by
+    /// the deduped fraction (tenancy off leaves the spawn weight 1.0).
+    fn go_live(&mut self, slot: usize, function: usize, id: u64) {
+        self.fns[slot].live = Some(id);
         if let Some(tenancy) = self.tenancy.as_mut() {
             let weight = tenancy.register(function);
             self.pool.set_weight(id, weight);
         }
     }
 
-    /// Releases a torn-down instance's page registration. No-op with
-    /// tenancy off (and guarded against double-release inside).
-    fn tenancy_release(&mut self, function: usize) {
+    /// Tears down `function`'s live instance `id` and everything tied
+    /// to it: a keep-alive expiry credits residency through `deadline`,
+    /// while `None` evicts it (a crash or memory pressure). Its pending
+    /// pre-warm ready time goes, and its page registration is released.
+    /// Every teardown of a single instance comes through here, so a
+    /// release always undoes exactly one [`FleetHost::go_live`].
+    fn tear_down(&mut self, slot: usize, function: usize, id: u64, deadline: Option<f64>) {
+        match deadline {
+            Some(deadline_ms) => self.pool.expire_with_deadline(id, deadline_ms),
+            None => self.pool.evict(id),
+        };
+        let state = &mut self.fns[slot];
+        state.live = None;
+        state.prewarm_ready = None;
         if let Some(tenancy) = self.tenancy.as_mut() {
             tenancy.release(function);
         }
     }
 
-    /// The live instance id of `function`, decoding the `id + 1` table
-    /// encoding.
-    #[inline]
-    fn live_id(&self, function: usize) -> Option<u64> {
-        self.live[function].checked_sub(1)
-    }
-
-    /// Sets (or clears, with `None`) `function`'s live instance id.
-    #[inline]
-    fn set_live(&mut self, function: usize, id: Option<u64>) {
-        self.live[function] = id.map_or(0, |id| id + 1);
+    /// The last invocation time of `function`'s live instance, if it
+    /// has one. A live id always names a pooled instance: every path
+    /// that takes one out of the pool clears it.
+    fn live_last_invoked(&self, slot: usize) -> Option<(u64, f64)> {
+        let id = self.fns[slot].live?;
+        let last = self.pool.last_invoked_ms(id).expect("a live id is in the pool");
+        Some((id, last))
     }
 
     /// The keep-alive hold in force for `function`: its adaptive hold
@@ -435,42 +460,18 @@ impl FleetHost {
         }
     }
 
-    /// Registers `deadline_ms` as `function`'s expiry deadline. If an
-    /// entry that fires no later is already queued, only the deadline
-    /// moves — the queued entry re-checks the idle predicate when it
-    /// fires and re-arms itself at the true deadline, so a hot function
-    /// keeps a single long-lived entry instead of one per invocation.
-    fn schedule_expiry(&mut self, function: usize, deadline_ms: f64) {
-        let queued = self.expiry_queued[function];
-        if queued == 0.0 || queued > deadline_ms {
-            self.expiry_queued[function] = deadline_ms;
-            self.timers.push(
-                deadline_ms,
-                self.host_id as u32,
-                FleetEventKind::KeepAliveExpiry,
-                function as u32,
-            );
-        }
-    }
-
-    /// Re-keys `function`'s expiry after a model observation moved its
-    /// hold without an invocation (the shed path): a tightened hold
-    /// needs an adaptive-decay re-check at the earlier deadline, while
-    /// a raised hold rides on the outstanding entry (which revalidates
-    /// when it fires).
-    fn resync_expiry(&mut self, function: usize) {
-        let Some(id) = self.live_id(function) else { return };
-        let Some(last) = self.pool.last_invoked_ms(id) else { return };
-        let deadline = last + self.hold_for(function);
-        let queued = self.expiry_queued[function];
-        if queued == 0.0 || queued > deadline {
-            self.expiry_queued[function] = deadline;
-            self.timers.push(
-                deadline,
-                self.host_id as u32,
-                FleetEventKind::AdaptiveDecay,
-                function as u32,
-            );
+    /// Registers `deadline_ms` as `function`'s expiry deadline, queueing
+    /// a `kind` entry for it. If an entry that fires no later is already
+    /// queued, only the deadline moves — the queued entry re-checks the
+    /// idle predicate when it fires and re-arms itself at the true
+    /// deadline, so a hot function keeps a single long-lived entry
+    /// instead of one per invocation.
+    fn push_expiry(&mut self, slot: usize, function: usize, deadline_ms: f64, kind: FleetEventKind) {
+        let queued = &mut self.fns[slot].expiry_queued;
+        if queued.is_none_or(|queued| queued > deadline_ms) {
+            *queued = Some(deadline_ms);
+            self.timers
+                .push(deadline_ms, self.host_id as u32, kind, function as u32);
         }
     }
 
@@ -490,10 +491,13 @@ impl FleetHost {
             }
             let event = self.timers.pop().expect("peeked event is still queued");
             let function = event.function as usize;
+            let slot = self.slot(function);
             match event.kind {
-                FleetEventKind::PrewarmTimer => self.fire_prewarm(function, event.time_ms, at),
+                FleetEventKind::PrewarmTimer => {
+                    self.fire_prewarm(slot, function, event.time_ms, at);
+                }
                 FleetEventKind::KeepAliveExpiry | FleetEventKind::AdaptiveDecay => {
-                    self.fire_expiry(function, event.time_ms, at);
+                    self.fire_expiry(slot, function, event.time_ms, at);
                 }
                 // Arrivals, chaos boundaries and hedge joins never enter
                 // the per-host queue — they live in the run loop.
@@ -502,6 +506,20 @@ impl FleetHost {
                 | FleetEventKind::HedgeJoin => {}
             }
         }
+    }
+
+    /// Retires `function`'s live instance if it has been idle past its
+    /// hold at `at`, crediting residency through the deadline. Returns
+    /// the surviving instance's deadline, or `None` when no instance is
+    /// left.
+    fn expire_if_idle(&mut self, slot: usize, function: usize, at: f64) -> Option<f64> {
+        let (id, last) = self.live_last_invoked(slot)?;
+        let hold = self.hold_for(function);
+        if at - last > hold {
+            self.tear_down(slot, function, id, Some(last + hold));
+            return None;
+        }
+        Some(last + hold)
     }
 
     /// A keep-alive expiry (or adaptive-decay re-check) popped at
@@ -513,24 +531,13 @@ impl FleetHost {
     /// itself there instead of expiring. A genuine expiry credits
     /// residency through the deadline, exactly what the lazy sweep used
     /// to charge.
-    fn fire_expiry(&mut self, function: usize, fired_ms: f64, at: f64) {
-        if self.expiry_queued[function] != fired_ms {
+    fn fire_expiry(&mut self, slot: usize, function: usize, fired_ms: f64, at: f64) {
+        if self.fns[slot].expiry_queued != Some(fired_ms) {
             return;
         }
-        self.expiry_queued[function] = 0.0;
-        let Some(id) = self.live_id(function) else { return };
-        let Some(last) = self.pool.last_invoked_ms(id) else {
-            self.set_live(function, None);
-            return;
-        };
-        let hold = self.hold_for(function);
-        if at - last > hold {
-            self.pool.expire_with_deadline(id, last + hold);
-            self.set_live(function, None);
-            self.take_prewarm_ready(function);
-            self.tenancy_release(function);
-        } else {
-            self.schedule_expiry(function, last + hold);
+        self.fns[slot].expiry_queued = None;
+        if let Some(deadline) = self.expire_if_idle(slot, function, at) {
+            self.push_expiry(slot, function, deadline, FleetEventKind::KeepAliveExpiry);
         }
     }
 
@@ -542,45 +549,29 @@ impl FleetHost {
     /// dropped. Otherwise a restored instance spawns back-dated to
     /// `t_pre`, leaving its ready time behind so an arrival that beats
     /// the restore pays the residual wait.
-    fn fire_prewarm(&mut self, function: usize, t_pre: f64, at: f64) {
-        if self.prewarm_pending.get(function).copied().flatten() != Some(t_pre) {
+    fn fire_prewarm(&mut self, slot: usize, function: usize, t_pre: f64, at: f64) {
+        if self.fns[slot].prewarm_pending != Some(t_pre) {
             return;
         }
-        self.prewarm_pending[function] = None;
-        if let Some(id) = self.live_id(function) {
-            match self.pool.last_invoked_ms(id) {
-                Some(last) => {
-                    let hold = self.hold_for(function);
-                    if at - last > hold {
-                        self.pool.expire_with_deadline(id, last + hold);
-                        self.set_live(function, None);
-                        self.take_prewarm_ready(function);
-                        self.tenancy_release(function);
-                    } else {
-                        // The instance survived after all (e.g. the hold
-                        // was raised by a later observation): nothing to
-                        // pre-warm.
-                        return;
-                    }
-                }
-                None => self.set_live(function, None),
-            }
+        self.fns[slot].prewarm_pending = None;
+        if self.expire_if_idle(slot, function, at).is_some() {
+            // The instance survived after all (e.g. the hold was raised
+            // by a later observation): nothing to pre-warm.
+            return;
         }
         let resident = self.tenancy_resident(function);
         let (id, restore_ms) = self.pool.spawn_restored_shared(function, t_pre, resident);
-        self.tenancy_register(function, id);
+        self.go_live(slot, function, id);
+        let state = &mut self.fns[slot];
         // Without a snapshot store the pre-boot still takes the flat
         // cold-start time before the instance is ready.
-        let cost_ms = if self.pool.snapshots().is_some() {
-            restore_ms
-        } else {
-            self.last_restore_ms[function]
-        };
-        self.set_live(function, Some(id));
-        self.prewarm_ready[function] = Some(t_pre + cost_ms);
-        self.last_restore_ms[function] = cost_ms;
+        if self.pool.snapshots().is_some() {
+            state.last_restore_ms = restore_ms;
+        }
+        state.prewarm_ready = Some(t_pre + state.last_restore_ms);
         self.stats.prewarm_spawns += 1;
-        self.schedule_expiry(function, t_pre + self.hold_for(function));
+        let deadline = t_pre + self.hold_for(function);
+        self.push_expiry(slot, function, deadline, FleetEventKind::KeepAliveExpiry);
     }
 
     /// Processes one routed invocation and returns its end-to-end
@@ -626,6 +617,7 @@ impl FleetHost {
         let function = routed.function;
         let profile = function % model.functions();
         let invocation = self.stats.invocations;
+        let slot = self.slot_for(config, function);
 
         self.apply_crash_boundaries(at);
 
@@ -639,12 +631,8 @@ impl FleetHost {
         // spend in total — reconnects against a down host and fault-layer
         // retries draw from the same allowance.
         let budget = &config.retry_budget;
-        let tokens = if budget.is_limited() {
-            self.retry_tokens[function]
-        } else {
-            0.0
-        };
-        let allowed_attempts = budget.allowed_attempts(tokens, config.retry.max_attempts);
+        let allowed_attempts =
+            budget.allowed_attempts(self.fns[slot].retry_tokens, config.retry.max_attempts);
 
         // Down-window: the connection fails outright. Retry with bounded
         // exponential backoff until the host is back or the allowance is
@@ -666,6 +654,7 @@ impl FleetHost {
                     edges.push(down_wait_ms);
                 }
             }
+            self.stats.retries += down_retries;
             let still_down = self.schedule.state_at(at + down_wait_ms) == HostState::Down;
             // Reconnect spans tile [0, down_wait) exactly; the last one
             // is flagged when the wait ended in abandonment.
@@ -684,18 +673,12 @@ impl FleetHost {
             if still_down {
                 // Still down with nothing left to spend: abandoned
                 // without ever executing.
-                self.stats.retries += down_retries;
+                budget.settle(&mut self.fns[slot].retry_tokens, down_retries, false);
                 self.stats.down_failures += 1;
                 self.fault_stats.abandoned += 1;
-                if budget.is_limited() {
-                    let mut t = tokens;
-                    budget.settle(&mut t, down_retries, false);
-                    self.retry_tokens[function] = t;
-                }
                 scope.root(down_wait_ms, self.host_id as u64, tick_us(at));
-                return self.retire(routed, function, down_wait_ms, false, StartClass::Cold);
+                return self.retire(routed, slot, down_wait_ms, false, StartClass::Cold);
             }
-            self.stats.retries += down_retries;
         }
 
         // Fire every timer due at this arrival boundary — keep-alive
@@ -708,12 +691,12 @@ impl FleetHost {
         self.drain_timers(at);
 
         if let Some(bank) = self.prewarm.as_mut() {
-            let restore_est = self.last_restore_ms[function];
-            let scheduled = bank.observe(function, at, restore_est);
+            let state = &mut self.fns[slot];
+            let scheduled = bank.observe(function, at, state.last_restore_ms);
             // Each observation replaces the function's pending
             // pre-restore; moving the key cancels any stale timer still
             // in the queue.
-            self.prewarm_pending[function] = scheduled;
+            state.prewarm_pending = scheduled;
             if let Some(t_pre) = scheduled {
                 self.timers.push(
                     t_pre,
@@ -741,8 +724,14 @@ impl FleetHost {
                     self.series.record_shed(at);
                 }
                 // The observation above may have tightened this
-                // function's hold without an invocation to re-key it.
-                self.resync_expiry(function);
+                // function's hold without an invocation to re-key it: a
+                // tightened hold needs an adaptive-decay re-check at the
+                // earlier deadline, while a raised hold rides on the
+                // outstanding entry (which revalidates when it fires).
+                if let Some((_, last)) = self.live_last_invoked(slot) {
+                    let deadline = last + self.hold_for(function);
+                    self.push_expiry(slot, function, deadline, FleetEventKind::AdaptiveDecay);
+                }
                 // A shed invocation never executes: its root covers only
                 // the reconnect wait it burned getting here.
                 scope.root(down_wait_ms, self.host_id as u64, tick_us(at));
@@ -755,13 +744,10 @@ impl FleetHost {
         // draws (and counts) this on warm starts, so when we act on it
         // here — evicting from the pool and flipping to a cold start —
         // we take over the bookkeeping it would have done.
-        let mut starts_cold = self.live[function] == 0;
-        if let Some(id) = self.live_id(function) {
+        let mut starts_cold = self.fns[slot].live.is_none();
+        if let Some(id) = self.fns[slot].live {
             if self.faults.evicted_before(invocation) {
-                self.pool.evict(id);
-                self.set_live(function, None);
-                self.take_prewarm_ready(function);
-                self.tenancy_release(function);
+                self.tear_down(slot, function, id, None);
                 self.fault_stats.evictions += 1;
                 starts_cold = true;
             }
@@ -791,22 +777,19 @@ impl FleetHost {
                 let resident = self.tenancy_resident(function);
                 self.pool.spawn_restored_shared(function, at, resident)
             };
-            self.tenancy_register(function, id);
+            self.go_live(slot, function, id);
             if self.pool.snapshots().is_some() {
                 cold_start_ms = restore_ms;
             }
-            if self.prewarm.is_some() {
-                // Keep the pre-warm lead-time estimate tracking the
-                // restore model's actual pricing.
-                self.last_restore_ms[function] = cold_start_ms;
-            }
+            // Keep the pre-warm lead-time estimate tracking the restore
+            // model's actual pricing.
+            self.fns[slot].last_restore_ms = cold_start_ms;
             self.pool.invoke(id, at);
-            self.set_live(function, Some(id));
             self.stats.cold_starts += 1;
             // A fresh container has nothing resident: full penalty, and
             // Jukebox has no prior invocation to replay.
             model.service_ms(profile, 1.0, false)
-        } else if let Some(ready_ms) = self.take_prewarm_ready(function) {
+        } else if let Some(ready_ms) = self.fns[slot].prewarm_ready.take() {
             // The arrival landed on an instance pre-restored ahead of
             // it. Memory is up (no boot, no restore burst on the
             // critical path — only the residual wait if the arrival
@@ -814,7 +797,7 @@ impl FleetHost {
             // *prior invocation*: microarchitecturally this is the
             // paper's lukewarm case at full interleaving penalty, and
             // Jukebox replays the snapshot's recorded history.
-            let id = self.live_id(function).expect("prewarmed path has a live id");
+            let id = self.fns[slot].live.expect("prewarmed path has a live id");
             self.pool.invoke(id, at).expect("live id is in the pool");
             self.stats.lukewarm_hits += 1;
             self.stats.prewarm_hits += 1;
@@ -822,12 +805,12 @@ impl FleetHost {
             self.stats.degree_sum += 1.0;
             (ready_ms - at).max(0.0) + model.service_ms(profile, 1.0, jukebox)
         } else {
-            let id = self.live_id(function).expect("warm path has a live id");
+            let id = self.fns[slot].live.expect("warm path has a live id");
             let gap_ms = self.pool.invoke(id, at).expect("live id is in the pool");
             let elapsed_sec = at / 1000.0;
             let other_per_sec = if elapsed_sec > 0.0 {
                 let host_rate = self.stats.invocations as f64 / elapsed_sec;
-                let own_rate = self.fn_invocations[function] as f64 / elapsed_sec;
+                let own_rate = self.fns[slot].invocations as f64 / elapsed_sec;
                 (host_rate - own_rate).max(0.0)
             } else {
                 0.0
@@ -908,32 +891,27 @@ impl FleetHost {
         // its final attempt ran on a fresh spawn; reflect that in the
         // pool. If it gave up, the function has no live instance left.
         let crashed = self.fault_stats.crashes > crashes_before;
-        if let Some(id) = self.live_id(function) {
+        if let Some(id) = self.fns[slot].live {
             if crashed || !result.completed {
-                self.pool.evict(id);
-                self.set_live(function, None);
-                self.tenancy_release(function);
+                self.tear_down(slot, function, id, None);
             }
             if crashed && result.completed {
                 let fresh = self.pool.spawn(function, at);
                 self.pool.invoke(fresh, at);
-                self.set_live(function, Some(fresh));
-                self.tenancy_register(function, fresh);
+                self.go_live(slot, function, fresh);
             }
         }
         // Whatever instance is live now was just invoked at `at`: re-key
         // its keep-alive deadline under the hold in force.
-        if self.live[function] != 0 {
-            self.schedule_expiry(function, at + self.hold_for(function));
+        if self.fns[slot].live.is_some() {
+            let deadline = at + self.hold_for(function);
+            self.push_expiry(slot, function, deadline, FleetEventKind::KeepAliveExpiry);
         }
 
         let fault_retries = result.attempts.saturating_sub(1);
         self.stats.retries += fault_retries;
-        if budget.is_limited() {
-            let mut t = tokens;
-            budget.settle(&mut t, down_retries + fault_retries, result.completed);
-            self.retry_tokens[function] = t;
-        }
+        let spent = down_retries + fault_retries;
+        budget.settle(&mut self.fns[slot].retry_tokens, spent, result.completed);
         let latency_ms = down_wait_ms + result.latency_ms;
         if let Some(ctl) = self.admission.as_mut() {
             ctl.commit(at, function, latency_ms);
@@ -942,7 +920,7 @@ impl FleetHost {
         // exactly (same float, same rounding), and the children tiled
         // every contributing window — exact critical-path attribution.
         scope.root(latency_ms, self.host_id as u64, tick_us(at));
-        self.retire(routed, function, latency_ms, result.completed, class)
+        self.retire(routed, slot, latency_ms, result.completed, class)
     }
 
     /// This host's counts as of `end_ms`, the run's last arrival: the
@@ -1121,14 +1099,92 @@ mod tests {
             500
         );
         // Every live entry must point at a real pool instance.
-        for function in 0..host.live.len() {
-            if let Some(id) = host.live_id(function) {
+        for (slot, state) in host.fns.iter().enumerate() {
+            if let Some(id) = state.live {
                 assert!(
                     host.pool.instance(id).is_some(),
-                    "function {function} maps to dead instance {id}"
+                    "slot {slot} maps to dead instance {id}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn per_function_state_grows_with_the_functions_served() {
+        let (config, model) = setup();
+        let config = FleetConfig {
+            population: 1 << 20,
+            ..config
+        };
+        let mut host = host(&config);
+        let served = [7, 1 << 19, 3, (1 << 20) - 1, 7, 3];
+        for (i, &function) in served.iter().enumerate() {
+            host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 10.0, function));
+        }
+        assert_eq!(host.fns.len(), 4, "one slot per distinct function served");
+        assert_eq!(host.slot_of.len(), config.population);
+        assert_eq!(host.slot_of.iter().flatten().count(), 4);
+    }
+
+    /// Every instance teardown releases its page registration exactly
+    /// once: after a run that expires, evicts, crashes and respawns
+    /// instances, the host's page store holds exactly what registering
+    /// its live functions into a fresh store holds.
+    #[test]
+    fn page_store_holds_exactly_the_live_functions() {
+        use crate::chaos::ChaosConfig;
+        use luke_tenancy::TenancyConfig;
+        let (config, model) = setup();
+        let config = FleetConfig {
+            hosts: 1,
+            invocations: 4_000,
+            population: 40,
+            keep_alive_ms: 5_000.0,
+            cold_start_model: ColdStartModel::ReapPrefetch,
+            fault_rates: server::FaultRates {
+                crash: 0.05,
+                timeout: 0.02,
+                cold_start_failure: 0.05,
+                memory_pressure: 0.05,
+            },
+            chaos: ChaosConfig {
+                host_mtbf_ms: 20_000.0,
+                crash_downtime_ms: 500.0,
+                degrade_mtbf_ms: 15_000.0,
+                degrade_duration_ms: 2_000.0,
+                degrade_slowdown: 3.0,
+            },
+            tenancy: TenancyConfig::default_enabled(),
+            ..config
+        };
+        config.validate().unwrap();
+        let tables = HostTables::new(&config);
+        let mut host = FleetHost::new(&config, 0, &tables);
+        let mut rng = DetRng::new(0x7e57);
+        let mut at = 0.0;
+        for _ in 0..config.invocations {
+            at += rng.exponential(50.0);
+            let function = rng.below(config.population as u64) as usize;
+            host.process(&config, &model, false, RoutedInvocation::new(at, function));
+        }
+        assert!(host.stats.host_crashes > 0, "chaos should crash the host");
+        assert!(host.fault_stats.evictions > 0, "memory pressure should evict");
+        assert!(host.fault_stats.crashes > 0, "instances should crash");
+
+        let mut fresh = HostTenancy::new(&config, &tables).unwrap();
+        let mut live = 0;
+        for (function, slot) in host.slot_of.iter().enumerate() {
+            let slot = slot.map(|slot| slot.get() as usize - 1);
+            if slot.is_some_and(|slot| host.fns[slot].live.is_some()) {
+                fresh.register(function);
+                live += 1;
+            }
+        }
+        assert!(live > 0, "some functions should still be live");
+        assert_eq!(
+            host.tenancy.as_ref().unwrap().resident_bytes(),
+            fresh.resident_bytes()
+        );
     }
 
     #[test]

@@ -329,12 +329,18 @@ impl Router {
     /// observability is policy-independent).
     pub fn route(&mut self, function: usize, expected_ms: f64) -> usize {
         let host = self.preferred(function);
+        self.dispatch(host, function, expected_ms);
+        host
+    }
+
+    /// Charges one dispatch of `function` to `host` and counts it — the
+    /// tail both routing entry points share.
+    fn dispatch(&mut self, host: usize, function: usize, expected_ms: f64) {
         self.charge(host, function, expected_ms);
         self.dispatches += 1;
         if self.policy == RoutingPolicy::PlacementAware {
             self.placement_routed += 1;
         }
-        host
     }
 
     /// Routes one invocation around open breakers: the preferred host is
@@ -368,11 +374,7 @@ impl Router {
                 }
             }
         }
-        self.charge(host, function, expected_ms);
-        self.dispatches += 1;
-        if self.policy == RoutingPolicy::PlacementAware {
-            self.placement_routed += 1;
-        }
+        self.dispatch(host, function, expected_ms);
         if failed_over {
             self.failovers += 1;
         }

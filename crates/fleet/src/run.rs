@@ -45,7 +45,7 @@ use crate::chaos::ChaosPlan;
 use crate::config::FleetConfig;
 use crate::health::HealthView;
 use crate::host::{FleetHost, HedgeOutcome, HostTables, RoutedInvocation};
-use crate::route::Router;
+use crate::route::{RouteDecision, Router};
 use crate::stats::{ratio, HostStats};
 use crate::timing::ServiceModel;
 use crate::traffic::{ArrivalStream, Population};
@@ -316,71 +316,61 @@ fn route_stream(
         end_ms = end_ms.max(event.at_ms);
         let function = event.instance;
         let expected_ms = warm_ms[function % warm_ms.len()];
-        if chaos_plan.is_none() {
-            let host = router.route(function, expected_ms);
-            if config.samples(dispatch) {
-                route_spans.record(route_span(dispatch, false, host as u64, false));
+        let decision = if chaos_plan.is_none() {
+            RouteDecision {
+                host: router.route(function, expected_ms),
+                failed_over: false,
+                hedge: None,
             }
-            emit(
-                host,
-                RoutedInvocation {
-                    at_ms: event.at_ms,
-                    function,
-                    dispatch,
-                    hedge: false,
-                    duplicate: false,
-                },
-            );
         } else {
             health.advance_to(event.at_ms, &chaos_plan);
             if chaos_plan.all_down_at(event.at_ms) {
                 return Err(SimError::all_hosts_down(event.at_ms as u64));
             }
-            let decision = router.route_resilient(function, expected_ms, &health, &config.hedge);
-            let hedge = decision.hedge.is_some();
-            if config.samples(dispatch) {
-                route_spans.record(route_span(
-                    dispatch,
-                    false,
-                    decision.host as u64,
-                    decision.failed_over,
-                ));
-                if let Some(second) = decision.hedge {
-                    route_spans.record(Span {
-                        trace: trace_id(dispatch, false),
-                        id: 2,
-                        parent: 0,
-                        kind: SpanKind::Hedge,
-                        start_us: 0,
-                        dur_us: 0,
-                        a: decision.host as u64,
-                        b: second as u64,
-                    });
-                    route_spans.record(route_span(dispatch, true, second as u64, false));
-                }
+            router.route_resilient(function, expected_ms, &health, &config.hedge)
+        };
+        if config.samples(dispatch) {
+            route_spans.record(route_span(
+                dispatch,
+                false,
+                decision.host as u64,
+                decision.failed_over,
+            ));
+            if let Some(second) = decision.hedge {
+                route_spans.record(Span {
+                    trace: trace_id(dispatch, false),
+                    id: 2,
+                    parent: 0,
+                    kind: SpanKind::Hedge,
+                    start_us: 0,
+                    dur_us: 0,
+                    a: decision.host as u64,
+                    b: second as u64,
+                });
+                route_spans.record(route_span(dispatch, true, second as u64, false));
             }
+        }
+        emit(
+            decision.host,
+            RoutedInvocation {
+                at_ms: event.at_ms,
+                function,
+                dispatch,
+                hedge: decision.hedge.is_some(),
+                duplicate: false,
+            },
+        );
+        if let Some(second) = decision.hedge {
             emit(
-                decision.host,
+                second,
                 RoutedInvocation {
                     at_ms: event.at_ms,
                     function,
                     dispatch,
-                    hedge,
-                    duplicate: false,
+                    hedge: true,
+                    duplicate: true,
                 },
             );
-            if let Some(second) = decision.hedge {
-                emit(
-                    second,
-                    RoutedInvocation {
-                        at_ms: event.at_ms,
-                        function,
-                        dispatch,
-                        hedge: true,
-                        duplicate: true,
-                    },
-                );
-            }
         }
     }
     Ok(end_ms)

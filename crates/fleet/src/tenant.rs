@@ -1,14 +1,13 @@
-//! Per-host tenancy state: the shared-page store, the contention
-//! model, and the registration ledger tying them to the host's live
-//! instances.
+//! Per-host tenancy state: the shared-page store and the contention
+//! model.
 //!
 //! A host owns exactly one [`HostTenancy`] when any tenancy knob is on
 //! (`None` otherwise — the disabled feature takes the exact pre-tenancy
-//! code path). The wrapper keeps the store and the host's instance
-//! lifecycle in lock-step: every spawn registers the function's page
-//! layout (dedup-aware when enabled), every expiry/eviction releases
-//! it, and a whole-host crash wipes the resident set the way it wipes
-//! the pool. All mutable state is host-local, so fleet runs stay
+//! code path). The host keeps the store and its instance lifecycle in
+//! lock-step: every spawn registers the function's page layout
+//! (dedup-aware when enabled), every single-instance teardown releases
+//! it exactly once, and a whole-host crash wipes the resident set the
+//! way it wipes the pool. All mutable state is host-local, so fleet runs stay
 //! bit-identical across thread counts; the page layouts are a read-only
 //! table shared by every host of a run.
 
@@ -25,10 +24,6 @@ pub struct HostTenancy {
     /// Page layout per suite profile (`function % layouts.len()`),
     /// shared by every host of the run.
     layouts: Arc<[FunctionLayout]>,
-    /// Per logical function: whether its live instance's pages are
-    /// currently registered in the store. Mirrors the host's `live`
-    /// table so release exactly undoes register.
-    registered: Vec<bool>,
     /// The host's content-addressed page store.
     store: SharedPageStore,
     /// Pressure-to-slowdown curve (present only when contention is on).
@@ -57,7 +52,6 @@ impl HostTenancy {
         } = config.tenancy;
         Some(HostTenancy {
             layouts,
-            registered: vec![false; config.population],
             store: SharedPageStore::new(),
             contention: contention.enabled().then(|| ContentionModel::new(&contention)),
             dedup,
@@ -90,19 +84,13 @@ impl HostTenancy {
         let registration = self
             .store
             .register(&layout, self.dedup, self.cow_dirty_fraction);
-        self.registered[function] = true;
         registration.weight
     }
 
-    /// Releases `function`'s registration (instance expired, evicted,
-    /// or crashed). Idempotent via the ledger: a function with no
-    /// registered instance is a no-op, so defensive teardown paths
-    /// can't double-release.
+    /// Releases one registration of `function` (its instance expired,
+    /// was evicted, or crashed). Callers release each registration
+    /// exactly once.
     pub fn release(&mut self, function: usize) {
-        if !self.registered[function] {
-            return;
-        }
-        self.registered[function] = false;
         let layout = *self.layout_of(function);
         self.store
             .release(&layout, self.dedup, self.cow_dirty_fraction);
@@ -112,7 +100,6 @@ impl HostTenancy {
     /// pool lost, the store loses too. Cumulative counters survive.
     pub fn clear_resident(&mut self) {
         self.store.clear_resident();
-        self.registered.fill(false);
     }
 
     /// The contention slowdown factor in force right now (1.0 with
@@ -208,9 +195,6 @@ mod tests {
         let w1 = tenancy.register(other);
         assert!(w1 < 1.0, "dedup must shrink the second weight: {w1}");
         tenancy.release(other);
-        tenancy.release(0);
-        assert_eq!(tenancy.resident_bytes(), 0);
-        // Double-release is a guarded no-op.
         tenancy.release(0);
         assert_eq!(tenancy.resident_bytes(), 0);
     }

@@ -99,10 +99,9 @@ pub struct AdmissionControl {
     priorities: Arc<[u8]>,
     /// Outstanding invocations as `(end_ms, function)` pairs; expired
     /// lazily on each arrival. In-flight counts are tiny (per-host rate ×
-    /// per-invocation latency), so a flat scan stays cheap.
+    /// per-invocation latency), so a flat scan stays cheap, and the same
+    /// scan counts the arriving function's share.
     inflight: Vec<(f64, usize)>,
-    /// Per-function in-flight counts, kept in sync with `inflight`.
-    counts: Vec<u32>,
     admitted: u64,
     degraded_restores: u64,
     shed: u64,
@@ -111,29 +110,26 @@ pub struct AdmissionControl {
 impl AdmissionControl {
     /// Builds a controller for `priorities.len()` functions.
     pub fn new(config: AdmissionConfig, priorities: Arc<[u8]>) -> Self {
-        let functions = priorities.len();
         AdmissionControl {
             config,
             priorities,
             inflight: Vec::new(),
-            counts: vec![0; functions],
             admitted: 0,
             degraded_restores: 0,
             shed: 0,
         }
     }
 
-    /// Drops every in-flight entry that ended at or before `now_ms`.
-    fn expire(&mut self, now_ms: f64) {
-        let counts = &mut self.counts;
-        self.inflight.retain(|&(end_ms, function)| {
-            if end_ms <= now_ms {
-                counts[function] -= 1;
-                false
-            } else {
-                true
-            }
+    /// Drops every in-flight entry that ended at or before `now_ms` and
+    /// returns how many of those left belong to `function`.
+    fn expire(&mut self, now_ms: f64, function: usize) -> u32 {
+        let mut own = 0;
+        self.inflight.retain(|&(end_ms, owner)| {
+            let running = end_ms > now_ms;
+            own += u32::from(running && owner == function);
+            running
         });
+        own
     }
 
     /// Walks the shedding ladder for one arrival of `function` at
@@ -145,14 +141,14 @@ impl AdmissionControl {
         function: usize,
         warm_instances: usize,
     ) -> AdmissionDecision {
-        self.expire(now_ms);
+        let own = self.expire(now_ms, function);
         let saturated = self.inflight.len() as u32 >= self.config.host_concurrency;
         let mut limit = self.config.reserved_concurrency + self.config.burst_concurrency;
         if saturated && self.priorities[function] == 0 {
             // Rung 1: the low-priority tail loses its burst allowance.
             limit = self.config.reserved_concurrency;
         }
-        if self.counts[function] >= limit {
+        if own >= limit {
             // Rung 3: over the effective limit — shed.
             self.shed += 1;
             return AdmissionDecision::Shed;
@@ -171,7 +167,6 @@ impl AdmissionControl {
     /// concurrency slot from `now_ms` until `now_ms + latency_ms`.
     pub fn commit(&mut self, now_ms: f64, function: usize, latency_ms: f64) {
         self.inflight.push((now_ms + latency_ms, function));
-        self.counts[function] += 1;
     }
 
     /// Notes that an admitted-degraded cold start actually took the
