@@ -98,23 +98,12 @@ pub enum Command {
     },
     /// `lukewarm fleet [--hosts N] [--threads T] [--policy P] ...`
     Fleet {
-        /// Fleet size.
-        hosts: usize,
+        /// The fleet flags shared with `trace --fleet` (span sampling
+        /// off unless `--trace-sample` says otherwise).
+        fleet: FleetArgs,
         /// Worker threads the host shards run on. Results-neutral: the
         /// output is bit-identical for any value (CI diffs 1 vs 4).
         threads: usize,
-        /// Routing policy label.
-        policy: String,
-        /// Total invocations (defaults to 1000 per host).
-        invocations: Option<usize>,
-        /// Chaos preset: `off`, `light` or `heavy`. Anything but `off`
-        /// turns on the whole resilience stack (fault domains, failover,
-        /// hedging, retry budgets, admission control, surge traffic).
-        chaos: String,
-        /// Span sampling period: every Nth dispatch grows a causal span
-        /// tree (0 = tracing off, the default — output stays
-        /// byte-identical to untraced builds).
-        trace_sample: u64,
         /// Predictive pre-warming / adaptive keep-alive (`--prewarm`).
         /// Off by default — output stays byte-identical to
         /// prediction-free builds.
@@ -134,16 +123,10 @@ pub enum Command {
     },
     /// `lukewarm trace --fleet [--hosts N] [--chaos P] [--out FILE] ...`
     TraceFleet {
-        /// Fleet size.
-        hosts: usize,
-        /// Routing policy label.
-        policy: String,
-        /// Total invocations (defaults to 1000 per host).
-        invocations: Option<usize>,
-        /// Chaos preset (`off`, `light`, `heavy`).
-        chaos: String,
-        /// Span sampling period (default 100; must be >= 1 here).
-        trace_sample: u64,
+        /// The fleet flags shared with `fleet` (span sampling every
+        /// 100th dispatch unless `--trace-sample` says otherwise; must
+        /// be >= 1 here).
+        fleet: FleetArgs,
         /// Output file for the Chrome span trace; without it, a text
         /// waterfall with critical-path attribution prints to stdout.
         out: Option<String>,
@@ -160,6 +143,45 @@ pub enum Command {
     },
     /// `lukewarm help` or empty invocation.
     Help,
+}
+
+/// The fleet flags `lukewarm fleet` and `lukewarm trace --fleet` share.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FleetArgs {
+    /// Fleet size.
+    pub hosts: usize,
+    /// Routing policy label.
+    pub policy: String,
+    /// Total invocations (defaults to 1000 per host).
+    pub invocations: Option<usize>,
+    /// Chaos preset: `off`, `light` or `heavy`. Anything but `off`
+    /// turns on the whole resilience stack (fault domains, failover,
+    /// hedging, retry budgets, admission control, surge traffic).
+    pub chaos: String,
+    /// Span sampling period: every Nth dispatch grows a causal span
+    /// tree (0 = tracing off — output stays byte-identical to untraced
+    /// builds).
+    pub trace_sample: u64,
+}
+
+impl FleetArgs {
+    /// The run these flags ask for: its config, with the chaos preset's
+    /// resilience stack applied, and the closed-form service model (the
+    /// calibrated, cycle-accurate variant runs via `figure fleet`).
+    fn build(&self) -> Result<(luke_fleet::FleetConfig, luke_fleet::ServiceModel), CliError> {
+        let mut config = luke_fleet::FleetConfig {
+            hosts: self.hosts,
+            invocations: self.invocations.unwrap_or(self.hosts * 1000),
+            policy: luke_fleet::RoutingPolicy::parse(&self.policy)?,
+            trace_sample: self.trace_sample,
+            ..luke_fleet::FleetConfig::default()
+        };
+        if let Some(resilience) = chaos_preset(&self.chaos)? {
+            resilience.apply(&mut config);
+        }
+        let model = luke_fleet::ServiceModel::analytic(&paper_suite())?;
+        Ok((config, model))
+    }
 }
 
 /// Output format for experiment results.
@@ -343,14 +365,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut threads = 1usize;
             for (key, value) in &extras {
                 match key.as_str() {
-                    "--threads" => {
-                        threads = value
-                            .parse()
-                            .map_err(|_| CliError::usage(format!("bad --threads {value:?}")))?;
-                    }
-                    other => {
-                        return Err(CliError::usage(format!("unknown option {other}")));
-                    }
+                    "--threads" => threads = parse_number(key, value)?,
+                    other => return Err(CliError::usage(format!("unknown option {other}"))),
                 }
             }
             Ok(Command::Figure {
@@ -371,56 +387,22 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "trace" if rest.first().map(|s| s.as_str()) == Some("--fleet") => {
-            let mut hosts = 8usize;
-            let mut policy = "keep-alive-aware".to_string();
-            let mut invocations = None;
-            let mut chaos = "off".to_string();
-            let mut trace_sample = 100u64;
+            let (fleet, extras) = parse_fleet_args(&rest[1..], 100, &[])?;
             let mut out = None;
-            let mut it = rest.iter().skip(1);
-            while let Some(key) = it.next() {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::usage(format!("option {key} needs a value")))?;
+            for (key, value) in extras {
                 match key.as_str() {
-                    "--hosts" => {
-                        hosts = value
-                            .parse()
-                            .map_err(|_| CliError::usage(format!("bad --hosts {value:?}")))?;
-                    }
-                    "--policy" => policy = value.to_string(),
-                    "--invocations" => {
-                        invocations = Some(value.parse().map_err(|_| {
-                            CliError::usage(format!("bad --invocations {value:?}"))
-                        })?);
-                    }
-                    "--chaos" => chaos = value.to_string(),
-                    "--trace-sample" => {
-                        trace_sample = value.parse().map_err(|_| {
-                            CliError::usage(format!("bad --trace-sample {value:?}"))
-                        })?;
-                    }
-                    "--out" => out = Some(value.to_string()),
+                    "--out" => out = Some(value),
                     other => {
                         return Err(CliError::usage(format!("unknown option {other}")));
                     }
                 }
             }
-            if trace_sample == 0 {
+            if fleet.trace_sample == 0 {
                 return Err(CliError::usage(
                     "trace --fleet needs --trace-sample >= 1 (it exists to record spans)",
                 ));
             }
-            luke_fleet::RoutingPolicy::parse(&policy)?;
-            chaos_preset(&chaos)?;
-            Ok(Command::TraceFleet {
-                hosts,
-                policy,
-                invocations,
-                chaos,
-                trace_sample,
-                out,
-            })
+            Ok(Command::TraceFleet { fleet, out })
         }
         "trace" => {
             let (function, opts, extras) = parse_function_and_options(&rest)?;
@@ -448,74 +430,28 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "fleet" => {
-            let mut hosts = 8usize;
+            let bare = ["--prewarm", "--dedup", "--contention"];
+            let (fleet, extras) = parse_fleet_args(&rest, 0, &bare)?;
             let mut threads = 1usize;
-            let mut policy = "keep-alive-aware".to_string();
-            let mut invocations = None;
-            let mut chaos = "off".to_string();
-            let mut trace_sample = 0u64;
             let mut prewarm = false;
             let mut dedup = false;
             let mut contention = false;
             let mut emit = Emit::Table;
-            let mut it = rest.iter();
-            while let Some(key) = it.next() {
-                // Bare flags: no value to consume.
-                if key.as_str() == "--prewarm" {
-                    prewarm = true;
-                    continue;
-                }
-                if key.as_str() == "--dedup" {
-                    dedup = true;
-                    continue;
-                }
-                if key.as_str() == "--contention" {
-                    contention = true;
-                    continue;
-                }
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::usage(format!("option {key} needs a value")))?;
+            for (key, value) in &extras {
                 match key.as_str() {
-                    "--hosts" => {
-                        hosts = value
-                            .parse()
-                            .map_err(|_| CliError::usage(format!("bad --hosts {value:?}")))?;
-                    }
-                    "--threads" => {
-                        threads = value
-                            .parse()
-                            .map_err(|_| CliError::usage(format!("bad --threads {value:?}")))?;
-                    }
-                    "--policy" => policy = value.to_string(),
-                    "--invocations" => {
-                        invocations = Some(value.parse().map_err(|_| {
-                            CliError::usage(format!("bad --invocations {value:?}"))
-                        })?);
-                    }
-                    "--chaos" => chaos = value.to_string(),
-                    "--trace-sample" => {
-                        trace_sample = value.parse().map_err(|_| {
-                            CliError::usage(format!("bad --trace-sample {value:?}"))
-                        })?;
-                    }
+                    "--threads" => threads = parse_number(key, value)?,
+                    "--prewarm" => prewarm = true,
+                    "--dedup" => dedup = true,
+                    "--contention" => contention = true,
                     "--emit" => emit = parse_emit(value)?,
                     other => {
                         return Err(CliError::usage(format!("unknown option {other}")));
                     }
                 }
             }
-            // Validate eagerly so a typo'd policy or preset fails before
-            // any work.
-            luke_fleet::RoutingPolicy::parse(&policy)?;
-            chaos_preset(&chaos)?;
             Ok(Command::Fleet {
-                hosts,
+                fleet,
                 threads,
-                policy,
-                invocations,
-                chaos,
-                trace_sample,
                 prewarm,
                 dedup,
                 contention,
@@ -554,6 +490,55 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// Splits the flags `fleet` and `trace --fleet` share (`--hosts`,
+/// `--policy`, `--invocations`, `--chaos`, `--trace-sample`, which
+/// defaults to `trace_sample`) from the leftover option pairs; a flag
+/// named in `bare` takes no value and is left over with an empty one.
+/// A typo'd policy or preset fails here, before any work.
+fn parse_fleet_args(
+    rest: &[&String],
+    trace_sample: u64,
+    bare: &[&str],
+) -> Result<(FleetArgs, Vec<(String, String)>), CliError> {
+    let mut fleet = FleetArgs {
+        hosts: 8,
+        policy: "keep-alive-aware".to_string(),
+        invocations: None,
+        chaos: "off".to_string(),
+        trace_sample,
+    };
+    let mut extras = Vec::new();
+    let mut it = rest.iter();
+    while let Some(key) = it.next() {
+        if bare.contains(&key.as_str()) {
+            extras.push((key.to_string(), String::new()));
+            continue;
+        }
+        let value = it
+            .next()
+            .ok_or_else(|| CliError::usage(format!("option {key} needs a value")))?;
+        match key.as_str() {
+            "--hosts" => fleet.hosts = parse_number(key, value)?,
+            "--policy" => fleet.policy = value.to_string(),
+            "--invocations" => fleet.invocations = Some(parse_number(key, value)?),
+            "--chaos" => fleet.chaos = value.to_string(),
+            "--trace-sample" => fleet.trace_sample = parse_number(key, value)?,
+            _ => extras.push((key.to_string(), value.to_string())),
+        }
+    }
+    luke_fleet::RoutingPolicy::parse(&fleet.policy)?;
+    chaos_preset(&fleet.chaos)?;
+    Ok((fleet, extras))
+}
+
+/// Parses the numeric value of option `key`; non-numeric is a usage
+/// error naming both.
+fn parse_number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, CliError> {
+    value
+        .parse()
+        .map_err(|_| CliError::usage(format!("bad {key} {value:?}")))
+}
+
 /// Splits `NAME [--opt value]...` into the name, recognized common options
 /// and leftover option pairs.
 #[allow(clippy::type_complexity)]
@@ -575,16 +560,8 @@ fn parse_function_and_options(
             // Range checks happen at execute time via
             // [`ExperimentParams::try_new`] (exit code 3); parsing only
             // rejects non-numeric values.
-            "--scale" => {
-                opts.scale = value
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad --scale {value:?}")))?;
-            }
-            "--invocations" => {
-                opts.invocations = value
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad --invocations {value:?}")))?;
-            }
+            "--scale" => opts.scale = parse_number(key, value)?,
+            "--invocations" => opts.invocations = parse_number(key, value)?,
             "--platform" => opts.platform = parse_platform(value)?,
             "--emit" => opts.emit = parse_emit(value)?,
             _ => extras.push((key.to_string(), value.to_string())),
@@ -947,26 +924,15 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             Ok(render(&data, options.emit))
         }
         Command::Fleet {
-            hosts,
+            fleet,
             threads,
-            policy,
-            invocations,
-            chaos,
-            trace_sample,
             prewarm,
             dedup,
             contention,
             emit,
         } => {
-            let policy = luke_fleet::RoutingPolicy::parse(policy)?;
-            let mut config = luke_fleet::FleetConfig {
-                hosts: *hosts,
-                threads: *threads,
-                invocations: invocations.unwrap_or(hosts * 1000),
-                policy,
-                trace_sample: *trace_sample,
-                ..luke_fleet::FleetConfig::default()
-            };
+            let (mut config, model) = fleet.build()?;
+            config.threads = *threads;
             if *prewarm {
                 config.prewarm = luke_fleet::PrewarmConfig::default_enabled();
             }
@@ -977,44 +943,19 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
                 config.cold_start_model = luke_fleet::ColdStartModel::ReapPrefetch;
             }
             if *contention {
-                config.tenancy.contention =
-                    luke_fleet::ContentionConfig::default_enabled();
+                config.tenancy.contention = luke_fleet::ContentionConfig::default_enabled();
             }
-            if let Some(resilience) = chaos_preset(chaos)? {
-                resilience.apply(&mut config);
-            }
-            // The CLI uses the closed-form service model; the calibrated
-            // (cycle-accurate) variant runs via `figure fleet`.
-            let model = luke_fleet::ServiceModel::analytic(&paper_suite())?;
             let pair = luke_fleet::run_fleet_pair(&config, &model)?;
             Ok(render(&pair, *emit))
         }
-        Command::TraceFleet {
-            hosts,
-            policy,
-            invocations,
-            chaos,
-            trace_sample,
-            out,
-        } => {
-            let policy = luke_fleet::RoutingPolicy::parse(policy)?;
-            let mut config = luke_fleet::FleetConfig {
-                hosts: *hosts,
-                invocations: invocations.unwrap_or(hosts * 1000),
-                policy,
-                trace_sample: *trace_sample,
-                ..luke_fleet::FleetConfig::default()
-            };
-            if let Some(resilience) = chaos_preset(chaos)? {
-                resilience.apply(&mut config);
-            }
-            let model = luke_fleet::ServiceModel::analytic(&paper_suite())?;
+        Command::TraceFleet { fleet, out } => {
+            let (config, model) = fleet.build()?;
             let run = luke_fleet::run_fleet(&config, &model, true)?;
             if out.is_some() {
-                let name = format!("fleet ({} hosts, chaos {chaos})", config.hosts);
+                let name = format!("fleet ({} hosts, chaos {})", config.hosts, fleet.chaos);
                 return Ok(luke_obs::trace::chrome_trace_spans(&name, &run.spans));
             }
-            Ok(fleet_waterfall(&run, chaos))
+            Ok(fleet_waterfall(&run, &fleet.chaos))
         }
         Command::BenchCompare { old, new, threshold } => {
             let load = |path: &str| -> Result<luke_bench::record::BenchRecord, CliError> {
@@ -1477,12 +1418,14 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Fleet {
-                hosts: 4,
+                fleet: FleetArgs {
+                    hosts: 4,
+                    policy: "rr".to_string(),
+                    invocations: None,
+                    chaos: "heavy".to_string(),
+                    trace_sample: 16,
+                },
                 threads: 2,
-                policy: "rr".to_string(),
-                invocations: None,
-                chaos: "heavy".to_string(),
-                trace_sample: 16,
                 prewarm: true,
                 dedup: false,
                 contention: false,
@@ -1494,12 +1437,14 @@ mod tests {
         assert_eq!(
             parse(&argv("fleet --policy pa --dedup --contention")).unwrap(),
             Command::Fleet {
-                hosts: 8,
+                fleet: FleetArgs {
+                    hosts: 8,
+                    policy: "pa".to_string(),
+                    invocations: None,
+                    chaos: "off".to_string(),
+                    trace_sample: 0,
+                },
                 threads: 1,
-                policy: "pa".to_string(),
-                invocations: None,
-                chaos: "off".to_string(),
-                trace_sample: 0,
                 prewarm: false,
                 dedup: true,
                 contention: true,
@@ -1511,12 +1456,14 @@ mod tests {
         assert_eq!(
             parse(&argv("fleet")).unwrap(),
             Command::Fleet {
-                hosts: 8,
+                fleet: FleetArgs {
+                    hosts: 8,
+                    policy: "keep-alive-aware".to_string(),
+                    invocations: None,
+                    chaos: "off".to_string(),
+                    trace_sample: 0,
+                },
                 threads: 1,
-                policy: "keep-alive-aware".to_string(),
-                invocations: None,
-                chaos: "off".to_string(),
-                trace_sample: 0,
                 prewarm: false,
                 dedup: false,
                 contention: false,
@@ -1539,26 +1486,35 @@ mod tests {
             ))
             .unwrap(),
             Command::TraceFleet {
-                hosts: 2,
-                policy: "keep-alive-aware".to_string(),
-                invocations: None,
-                chaos: "light".to_string(),
-                trace_sample: 8,
+                fleet: FleetArgs {
+                    hosts: 2,
+                    policy: "keep-alive-aware".to_string(),
+                    invocations: None,
+                    chaos: "light".to_string(),
+                    trace_sample: 8,
+                },
                 out: Some("w.json".to_string()),
             }
         );
         assert_eq!(
             parse(&argv("trace --fleet")).unwrap(),
             Command::TraceFleet {
-                hosts: 8,
-                policy: "keep-alive-aware".to_string(),
-                invocations: None,
-                chaos: "off".to_string(),
-                trace_sample: 100,
+                fleet: FleetArgs {
+                    hosts: 8,
+                    policy: "keep-alive-aware".to_string(),
+                    invocations: None,
+                    chaos: "off".to_string(),
+                    trace_sample: 100,
+                },
                 out: None,
             }
         );
         assert_eq!(parse(&argv("trace --fleet --bogus 1")).unwrap_err().code, 2);
+        // `fleet`'s own flags are unknown options here.
+        for flags in ["--threads 2", "--emit json", "--prewarm x"] {
+            let err = parse(&argv(&format!("trace --fleet {flags}"))).unwrap_err();
+            assert_eq!(err.code, 2, "{flags}: {}", err.message);
+        }
         assert_eq!(
             parse(&argv("trace --fleet --trace-sample 0")).unwrap_err().code,
             2

@@ -13,6 +13,7 @@
 //! order reproduces the sequential run bit for bit.
 
 use std::num::NonZeroU32;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use luke_common::rng::DetRng;
@@ -76,7 +77,9 @@ impl RoutedInvocation {
     }
 }
 
-/// The fate of one hedged copy, joined across hosts at merge time.
+/// The fate of one routed copy. A hedged copy's is joined with its
+/// pair's across hosts at merge time; a plain copy's is recorded as it
+/// retires (both through [`record_outcome`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HedgeOutcome {
     /// The dispatch id both copies share.
@@ -89,6 +92,24 @@ pub struct HedgeOutcome {
     pub completed: bool,
     /// How this copy's instance was found (cold/lukewarm/warm).
     pub class: StartClass,
+}
+
+/// Records one latency sample: the latency histogram, the latency sum
+/// and the series outcome with its SLO verdict (`slo_ms` 0 = no SLO). A
+/// host records each plain invocation it retires through here, and
+/// [`crate::run_fleet`] each joined hedge pair.
+pub(crate) fn record_outcome(
+    latency_us: &mut Histogram,
+    latency_sum_ms: &mut f64,
+    series: &mut TimeWindows,
+    slo_ms: f64,
+    outcome: &HedgeOutcome,
+) {
+    *latency_sum_ms += outcome.latency_ms;
+    let sample_us = (outcome.latency_ms * 1000.0).round() as u64;
+    latency_us.record(sample_us);
+    let over_slo = slo_ms > 0.0 && outcome.latency_ms > slo_ms;
+    series.record_outcome(outcome.at_ms, sample_us, outcome.class, over_slo);
 }
 
 /// Read-only tables every host of a run shares. Each is a pure function
@@ -186,6 +207,53 @@ impl FnState {
             prewarm_pending: None,
         }
     }
+
+    /// Forgets the function's live instance and its pending pre-warm
+    /// ready time: the instance is gone (torn down, or wiped with its
+    /// host).
+    fn clear_instance(&mut self) {
+        self.live = None;
+        self.prewarm_ready = None;
+    }
+}
+
+/// One invocation on its way through a host's stages (see
+/// [`FleetHost::process`]).
+struct Invocation<'a> {
+    config: &'a FleetConfig,
+    model: &'a ServiceModel,
+    /// Whether Jukebox prices warm hits.
+    jukebox: bool,
+    routed: RoutedInvocation,
+    /// The function's slot in the host's `fns`.
+    slot: usize,
+    /// Host-local invocation index: the fault and jitter streams' key.
+    index: u64,
+    /// Suite profile the function is priced as.
+    profile: usize,
+    /// The host's chaos state at arrival: read once per arrival.
+    host_state: HostState,
+    /// Attempts the retry budget allows in total: reconnects against a
+    /// down host and fault-layer retries draw from the same allowance.
+    allowed_attempts: u64,
+    /// Reconnect wait and retries spent against a down host.
+    down_wait_ms: f64,
+    down_retries: u64,
+    /// Admission's memory-pressure rung: restore by lazy paging.
+    degrade_restore: bool,
+    /// One attempt's costs, priced by the start and contend stages.
+    costs: AttemptCosts,
+    /// How the instance was found.
+    class: StartClass,
+}
+
+/// How an invocation leaves the pipeline.
+enum Exit {
+    /// It ran, or was abandoned: end-to-end latency, ms, and whether it
+    /// completed.
+    Retired(f64, bool),
+    /// Admission control shed it before it touched the pool.
+    Shed,
 }
 
 /// One host's complete simulation state.
@@ -221,8 +289,6 @@ pub struct FleetHost {
     pub spans: SpanRing,
     /// This host's windowed time-series (disabled when the window is 0).
     pub series: TimeWindows,
-    /// SLO threshold the series' burn rate counts against, ms (0 = none).
-    series_slo_ms: f64,
     /// Admission controller (present only when enabled).
     admission: Option<AdmissionControl>,
     /// Seed for down-host reconnect backoff jitter.
@@ -259,9 +325,8 @@ fn span_capacity(config: &FleetConfig) -> usize {
 impl FleetHost {
     /// Builds host `host_id` over the run's shared `tables` (built from
     /// the same `config`). The fault stream is split from the fleet
-    /// seed per host; all-zero rates get the bit-transparent
-    /// [`FaultPlan::none`] so a fault-free fleet never touches fault
-    /// RNG state.
+    /// seed per host; all-zero rates make an inert plan, so a
+    /// fault-free fleet never touches fault RNG state.
     ///
     /// # Panics
     ///
@@ -283,16 +348,12 @@ impl FleetHost {
             .expect("config validated upstream: snapshot_timings");
             pool = pool.with_snapshots(store);
         }
-        let faults = if config.fault_rates == server::FaultRates::zero() {
-            FaultPlan::none()
-        } else {
-            let seed = DetRng::new(config.seed)
-                .split(FAULT_STREAM)
-                .split(host_id as u64)
-                .seed();
-            FaultPlan::new(seed, config.fault_rates)
-                .expect("config validated upstream: fault_rates")
-        };
+        let seed = DetRng::new(config.seed)
+            .split(FAULT_STREAM)
+            .split(host_id as u64)
+            .seed();
+        let faults = FaultPlan::new(seed, config.fault_rates)
+            .expect("config validated upstream: fault_rates");
         let admission = tables
             .priorities
             .as_ref()
@@ -314,7 +375,6 @@ impl FleetHost {
             hedge_outcomes: Vec::new(),
             spans: SpanRing::with_capacity(span_capacity(config)),
             series: TimeWindows::new(config.series_window_ms),
-            series_slo_ms: config.series_slo_ms,
             admission,
             chaos_seed: DetRng::new(config.seed)
                 .split(DOWN_STREAM)
@@ -354,62 +414,13 @@ impl FleetHost {
             && self.schedule.crash_start(self.next_crash) <= at
         {
             self.pool.evict_all();
-            for state in &mut self.fns {
-                state.live = None;
-                state.prewarm_ready = None;
-            }
+            self.fns.iter_mut().for_each(FnState::clear_instance);
             if let Some(tenancy) = self.tenancy.as_mut() {
                 tenancy.clear_resident();
             }
             self.stats.host_crashes += 1;
             self.next_crash += 1;
         }
-    }
-
-    /// Records one invocation's terminal accounting: totals, and the
-    /// histogram or the hedge-outcome side list.
-    fn retire(
-        &mut self,
-        routed: RoutedInvocation,
-        slot: usize,
-        latency_ms: f64,
-        completed: bool,
-        class: StartClass,
-    ) -> f64 {
-        self.stats.invocations += 1;
-        self.fns[slot].invocations += 1;
-        if routed.hedge {
-            // Hedge copies report through the side list; the merge joins
-            // the pair and records the winner (histogram and series).
-            self.hedge_outcomes.push(HedgeOutcome {
-                dispatch: routed.dispatch,
-                at_ms: routed.at_ms,
-                latency_ms,
-                completed,
-                class,
-            });
-        } else {
-            self.stats.latency_sum_ms += latency_ms;
-            let latency_us = (latency_ms * 1000.0).round() as u64;
-            self.latency_us.record(latency_us);
-            self.series
-                .record_outcome(routed.at_ms, latency_us, class, self.over_slo(latency_ms));
-        }
-        latency_ms
-    }
-
-    /// Whether `latency_ms` blew the series SLO (false when no SLO set).
-    fn over_slo(&self, latency_ms: f64) -> bool {
-        self.series_slo_ms > 0.0 && latency_ms > self.series_slo_ms
-    }
-
-    /// Shareable pages of `function` already resident on this host —
-    /// the restore discount. Always 0 with tenancy off (or dedup off),
-    /// which prices the restore identically to the pre-tenancy path.
-    fn tenancy_resident(&self, function: usize) -> usize {
-        self.tenancy
-            .as_ref()
-            .map_or(0, |tenancy| tenancy.resident_pages(function))
     }
 
     /// Makes the freshly-spawned instance `id` `function`'s live one:
@@ -434,9 +445,7 @@ impl FleetHost {
             Some(deadline_ms) => self.pool.expire_with_deadline(id, deadline_ms),
             None => self.pool.evict(id),
         };
-        let state = &mut self.fns[slot];
-        state.live = None;
-        state.prewarm_ready = None;
+        self.fns[slot].clear_instance();
         if let Some(tenancy) = self.tenancy.as_mut() {
             tenancy.release(function);
         }
@@ -559,23 +568,19 @@ impl FleetHost {
             // by a later observation): nothing to pre-warm.
             return;
         }
-        let resident = self.tenancy_resident(function);
-        let (id, restore_ms) = self.pool.spawn_restored_shared(function, t_pre, resident);
-        self.go_live(slot, function, id);
-        let state = &mut self.fns[slot];
-        // Without a snapshot store the pre-boot still takes the flat
-        // cold-start time before the instance is ready.
-        if self.pool.snapshots().is_some() {
-            state.last_restore_ms = restore_ms;
-        }
-        state.prewarm_ready = Some(t_pre + state.last_restore_ms);
+        let (_, restore_ms) = self.spawn_live(slot, function, t_pre, false);
+        self.fns[slot].prewarm_ready = Some(t_pre + restore_ms);
         self.stats.prewarm_spawns += 1;
         let deadline = t_pre + self.hold_for(function);
         self.push_expiry(slot, function, deadline, FleetEventKind::KeepAliveExpiry);
     }
 
     /// Processes one routed invocation and returns its end-to-end
-    /// latency in milliseconds.
+    /// latency in milliseconds: the host's invocation pipeline. Every
+    /// arrival runs the stages in this order, and a stage whose feature
+    /// is off does nothing. A stage that ends the invocation early (the
+    /// host still down after the reconnect allowance, an admission shed)
+    /// breaks straight to `finish`, the one exit.
     pub fn process(
         &mut self,
         config: &FleetConfig,
@@ -586,101 +591,24 @@ impl FleetHost {
         // The span ring leaves `self` for the duration so the recording
         // scope can borrow it while the host mutates its own state.
         let mut spans = std::mem::take(&mut self.spans);
-        let out = {
-            let mut off = SpanRing::disabled();
-            let ring = if config.samples(routed.dispatch) {
-                &mut spans
-            } else {
-                &mut off
-            };
-            let mut scope = SpanScope::new(
-                ring,
-                trace_id(routed.dispatch, routed.duplicate),
-                HOST_SPAN_FIRST_ID,
-            );
-            self.process_scoped(config, model, jukebox, routed, &mut scope)
+        let mut off = SpanRing::disabled();
+        let ring = if config.samples(routed.dispatch) {
+            &mut spans
+        } else {
+            &mut off
         };
+        let trace = trace_id(routed.dispatch, routed.duplicate);
+        let scope = &mut SpanScope::new(ring, trace, HOST_SPAN_FIRST_ID);
+        let inv = &mut self.arrive(config, model, jukebox, routed);
+        let (ControlFlow::Break(exit) | ControlFlow::Continue(exit)) = self.stages(inv, scope);
+        let latency_ms = self.finish(inv, exit, scope);
         self.spans = spans;
-        out
+        latency_ms
     }
 
-    /// [`FleetHost::process`] with an explicit span-recording scope.
-    fn process_scoped(
-        &mut self,
-        config: &FleetConfig,
-        model: &ServiceModel,
-        jukebox: bool,
-        routed: RoutedInvocation,
-        scope: &mut SpanScope<'_>,
-    ) -> f64 {
-        let at = routed.at_ms;
-        let function = routed.function;
-        let profile = function % model.functions();
-        let invocation = self.stats.invocations;
-        let slot = self.slot_for(config, function);
-
-        self.apply_crash_boundaries(at);
-
-        // Hedge copies are duplicate load, not arrivals: the merge
-        // records the joined pair once, so only plain copies count here.
-        if !routed.hedge {
-            self.series.record_arrival(at);
-        }
-
-        // The retry budget caps how many attempts this invocation may
-        // spend in total — reconnects against a down host and fault-layer
-        // retries draw from the same allowance.
-        let budget = &config.retry_budget;
-        let allowed_attempts =
-            budget.allowed_attempts(self.fns[slot].retry_tokens, config.retry.max_attempts);
-
-        // Down-window: the connection fails outright. Retry with bounded
-        // exponential backoff until the host is back or the allowance is
-        // spent. Jitter comes from a per-invocation split stream, so the
-        // wait is a pure function of (seed, host, invocation).
-        let mut down_wait_ms = 0.0;
-        let mut down_retries = 0u64;
-        if !self.schedule.is_none() && self.schedule.state_at(at) == HostState::Down {
-            let mut rng = DetRng::new(self.chaos_seed).split(invocation);
-            // Right edge of each reconnect wait, kept only while a span
-            // scope is live so the tiling can be emitted afterwards.
-            let mut edges: Vec<f64> = Vec::new();
-            while down_retries + 1 < allowed_attempts
-                && self.schedule.state_at(at + down_wait_ms) == HostState::Down
-            {
-                down_retries += 1;
-                down_wait_ms += config.retry.bounded_backoff_ms(down_retries, &mut rng);
-                if scope.is_enabled() {
-                    edges.push(down_wait_ms);
-                }
-            }
-            self.stats.retries += down_retries;
-            let still_down = self.schedule.state_at(at + down_wait_ms) == HostState::Down;
-            // Reconnect spans tile [0, down_wait) exactly; the last one
-            // is flagged when the wait ended in abandonment.
-            let mut prev = 0.0;
-            for (i, &edge) in edges.iter().enumerate() {
-                let last = i + 1 == edges.len();
-                scope.child(
-                    SpanKind::Reconnect,
-                    prev,
-                    edge,
-                    (i + 1) as u64,
-                    u64::from(still_down && last),
-                );
-                prev = edge;
-            }
-            if still_down {
-                // Still down with nothing left to spend: abandoned
-                // without ever executing.
-                budget.settle(&mut self.fns[slot].retry_tokens, down_retries, false);
-                self.stats.down_failures += 1;
-                self.fault_stats.abandoned += 1;
-                scope.root(down_wait_ms, self.host_id as u64, tick_us(at));
-                return self.retire(routed, slot, down_wait_ms, false, StartClass::Cold);
-            }
-        }
-
+    /// The stages between arrive and finish.
+    fn stages(&mut self, inv: &mut Invocation, scope: &mut SpanScope) -> ControlFlow<Exit, Exit> {
+        self.reconnect(inv, scope)?;
         // Fire every timer due at this arrival boundary — keep-alive
         // expiries retire idle instances with the same deadline credit
         // the lazy sweep used to charge, and pre-restores spawn
@@ -688,108 +616,178 @@ impl FleetHost {
         // instance keeps a queued expiry entry at or before its true
         // deadline, so the drain alone reproduces the old per-arrival
         // sweep's strict `at − last > hold` predicate exactly.
-        self.drain_timers(at);
+        self.drain_timers(inv.routed.at_ms);
+        self.predict(inv);
+        self.admit(inv, scope)?;
+        self.start(inv);
+        self.contend(inv);
+        let (result, crashed) = self.attempt(inv, scope);
+        ControlFlow::Continue(self.settle(inv, result, crashed))
+    }
 
-        if let Some(bank) = self.prewarm.as_mut() {
-            let state = &mut self.fns[slot];
-            let scheduled = bank.observe(function, at, state.last_restore_ms);
-            // Each observation replaces the function's pending
-            // pre-restore; moving the key cancels any stale timer still
-            // in the queue.
-            state.prewarm_pending = scheduled;
-            if let Some(t_pre) = scheduled {
-                self.timers.push(
-                    t_pre,
-                    self.host_id as u32,
-                    FleetEventKind::PrewarmTimer,
-                    function as u32,
-                );
+    /// Arrive: applies due chaos crashes, counts the arrival, and opens
+    /// the invocation's record on its function's slot.
+    fn arrive<'a>(
+        &mut self,
+        config: &'a FleetConfig,
+        model: &'a ServiceModel,
+        jukebox: bool,
+        routed: RoutedInvocation,
+    ) -> Invocation<'a> {
+        let index = self.stats.invocations;
+        let slot = self.slot_for(config, routed.function);
+        self.apply_crash_boundaries(routed.at_ms);
+        // Hedge copies are duplicate load, not arrivals: the merge
+        // records the joined pair once, so only plain copies count here.
+        if !routed.hedge {
+            self.series.record_arrival(routed.at_ms);
+        }
+        Invocation {
+            config,
+            model,
+            jukebox,
+            routed,
+            slot,
+            index,
+            profile: routed.function % model.functions(),
+            host_state: self.schedule.state_at(routed.at_ms),
+            allowed_attempts: config
+                .retry_budget
+                .allowed_attempts(self.fns[slot].retry_tokens, config.retry.max_attempts),
+            down_wait_ms: 0.0,
+            down_retries: 0,
+            degrade_restore: false,
+            costs: AttemptCosts {
+                service_ms: 0.0,
+                cold_start_ms: config.cold_start_ms,
+                timeout_ms: config.timeout_ms,
+                starts_cold: false,
+            },
+            class: StartClass::Cold,
+        }
+    }
+
+    /// Reconnect (chaos): against a down host the connection fails
+    /// outright, so the invocation retries with bounded exponential
+    /// backoff until the host is back or the allowance is spent. Jitter
+    /// comes from a per-invocation split stream, so the wait is a pure
+    /// function of (seed, host, invocation). Breaks when the host is
+    /// still down with nothing left to spend: abandoned without ever
+    /// executing.
+    fn reconnect(&mut self, inv: &mut Invocation, scope: &mut SpanScope) -> ControlFlow<Exit> {
+        if inv.host_state != HostState::Down {
+            return ControlFlow::Continue(());
+        }
+        let at = inv.routed.at_ms;
+        let config = inv.config;
+        let mut rng = DetRng::new(self.chaos_seed).split(inv.index);
+        // Right edge of each reconnect wait, kept only while a span
+        // scope is live so the tiling can be emitted afterwards.
+        let mut edges: Vec<f64> = Vec::new();
+        while inv.down_retries + 1 < inv.allowed_attempts
+            && self.schedule.state_at(at + inv.down_wait_ms) == HostState::Down
+        {
+            inv.down_retries += 1;
+            inv.down_wait_ms += config.retry.bounded_backoff_ms(inv.down_retries, &mut rng);
+            if scope.is_enabled() {
+                edges.push(inv.down_wait_ms);
             }
         }
-
-        // Admission ladder: shed before any pool state is touched.
-        let mut degrade_restore = false;
-        if let Some(ctl) = self.admission.as_mut() {
-            let verdict = match ctl.decide(at, function, self.pool.warm_count()) {
-                AdmissionDecision::Admit => 0,
-                AdmissionDecision::AdmitDegraded => {
-                    degrade_restore = true;
-                    1
-                }
-                AdmissionDecision::Shed => 2,
-            };
-            scope.instant(SpanKind::Admission, down_wait_ms, verdict, 0);
-            if verdict == 2 {
-                if !routed.hedge {
-                    self.series.record_shed(at);
-                }
-                // The observation above may have tightened this
-                // function's hold without an invocation to re-key it: a
-                // tightened hold needs an adaptive-decay re-check at the
-                // earlier deadline, while a raised hold rides on the
-                // outstanding entry (which revalidates when it fires).
-                if let Some((_, last)) = self.live_last_invoked(slot) {
-                    let deadline = last + self.hold_for(function);
-                    self.push_expiry(slot, function, deadline, FleetEventKind::AdaptiveDecay);
-                }
-                // A shed invocation never executes: its root covers only
-                // the reconnect wait it burned getting here.
-                scope.root(down_wait_ms, self.host_id as u64, tick_us(at));
-                return 0.0;
-            }
+        self.stats.retries += inv.down_retries;
+        let still_down = self.schedule.state_at(at + inv.down_wait_ms) == HostState::Down;
+        // Reconnect spans tile [0, down_wait) exactly; the last one
+        // is flagged when the wait ended in abandonment.
+        let mut prev = 0.0;
+        for (i, &edge) in edges.iter().enumerate() {
+            let abandoned = u64::from(still_down && i + 1 == edges.len());
+            scope.child(SpanKind::Reconnect, prev, edge, (i + 1) as u64, abandoned);
+            prev = edge;
         }
+        if !still_down {
+            return ControlFlow::Continue(());
+        }
+        let tokens = &mut self.fns[inv.slot].retry_tokens;
+        config.retry_budget.settle(tokens, inv.down_retries, false);
+        self.stats.down_failures += 1;
+        self.fault_stats.abandoned += 1;
+        ControlFlow::Break(Exit::Retired(inv.down_wait_ms, false))
+    }
 
+    /// Predict (prediction): feeds the arrival to the function's
+    /// predictor; each observation replaces the function's pending
+    /// pre-restore, and moving the key cancels any stale timer still in
+    /// the queue.
+    fn predict(&mut self, inv: &Invocation) {
+        let Some(bank) = self.prewarm.as_mut() else {
+            return;
+        };
+        let function = inv.routed.function;
+        let state = &mut self.fns[inv.slot];
+        let scheduled = bank.observe(function, inv.routed.at_ms, state.last_restore_ms);
+        state.prewarm_pending = scheduled;
+        if let Some(t_pre) = scheduled {
+            self.timers.push(
+                t_pre,
+                self.host_id as u32,
+                FleetEventKind::PrewarmTimer,
+                function as u32,
+            );
+        }
+    }
+
+    /// Admit (admission control): the ladder's verdict, taken before any
+    /// pool state is touched. A degraded admit restores by lazy paging;
+    /// a shed breaks, never executing.
+    fn admit(&mut self, inv: &mut Invocation, scope: &mut SpanScope) -> ControlFlow<Exit> {
+        let Some(ctl) = self.admission.as_mut() else {
+            return ControlFlow::Continue(());
+        };
+        let at = inv.routed.at_ms;
+        let function = inv.routed.function;
+        let verdict = match ctl.decide(at, function, self.pool.warm_count()) {
+            AdmissionDecision::Admit => 0,
+            AdmissionDecision::AdmitDegraded => 1,
+            AdmissionDecision::Shed => 2,
+        };
+        inv.degrade_restore = verdict == 1;
+        scope.instant(SpanKind::Admission, inv.down_wait_ms, verdict, 0);
+        if verdict != 2 {
+            return ControlFlow::Continue(());
+        }
+        if !inv.routed.hedge {
+            self.series.record_shed(at);
+        }
+        // The observation above may have tightened this function's hold
+        // without an invocation to re-key it: a tightened hold needs an
+        // adaptive-decay re-check at the earlier deadline, while a
+        // raised hold rides on the outstanding entry (which revalidates
+        // when it fires).
+        if let Some((_, last)) = self.live_last_invoked(inv.slot) {
+            let deadline = last + self.hold_for(function);
+            self.push_expiry(inv.slot, function, deadline, FleetEventKind::AdaptiveDecay);
+        }
+        ControlFlow::Break(Exit::Shed)
+    }
+
+    /// Start: finds or makes the instance the invocation runs on and
+    /// prices its start — a cold restore, a pre-warmed instance, or a
+    /// warm hit classified by its interleaving degree.
+    fn start(&mut self, inv: &mut Invocation) {
         // A memory-pressure eviction during the idle gap takes the warm
         // instance away before the invocation lands. The fault plan only
         // draws (and counts) this on warm starts, so when we act on it
         // here — evicting from the pool and flipping to a cold start —
         // we take over the bookkeeping it would have done.
-        let mut starts_cold = self.fns[slot].live.is_none();
-        if let Some(id) = self.fns[slot].live {
-            if self.faults.evicted_before(invocation) {
-                self.tear_down(slot, function, id, None);
+        if let Some(id) = self.fns[inv.slot].live {
+            if self.faults.evicted_before(inv.index) {
+                self.tear_down(inv.slot, inv.routed.function, id, None);
                 self.fault_stats.evictions += 1;
-                starts_cold = true;
             }
         }
-
-        // Under `Instant` the cold start is a full boot priced by the
-        // flat config knob; the snapshot models replace it with the
-        // restore cost of bringing the working set back (lazy faults or
-        // a REAP prefetch of the recorded pages).
-        let mut cold_start_ms = config.cold_start_ms;
-        let mut class = StartClass::Cold;
-        let mut service_ms = if starts_cold {
-            let (id, restore_ms) = if degrade_restore && self.pool.snapshots().is_some() {
-                // Memory-pressure rung: restore by lazy paging instead
-                // of a prefetch burst the pressured host can't afford.
-                // Pays the full page count — a pressured host can't
-                // count on co-resident sharing either.
-                let spawned = self.pool.spawn_restored_degraded(function, at);
-                if let Some(ctl) = self.admission.as_mut() {
-                    ctl.note_degraded_restore();
-                }
-                spawned
-            } else {
-                // Pages already resident from co-located same-language
-                // instances come off the restore bill (0 resident — the
-                // disabled path — prices identically to pre-tenancy).
-                let resident = self.tenancy_resident(function);
-                self.pool.spawn_restored_shared(function, at, resident)
-            };
-            self.go_live(slot, function, id);
-            if self.pool.snapshots().is_some() {
-                cold_start_ms = restore_ms;
-            }
-            // Keep the pre-warm lead-time estimate tracking the restore
-            // model's actual pricing.
-            self.fns[slot].last_restore_ms = cold_start_ms;
-            self.pool.invoke(id, at);
-            self.stats.cold_starts += 1;
-            // A fresh container has nothing resident: full penalty, and
-            // Jukebox has no prior invocation to replay.
-            model.service_ms(profile, 1.0, false)
-        } else if let Some(ready_ms) = self.fns[slot].prewarm_ready.take() {
+        inv.costs.starts_cold = self.fns[inv.slot].live.is_none();
+        inv.costs.service_ms = if inv.costs.starts_cold {
+            self.start_cold(inv)
+        } else if let Some(ready_ms) = self.fns[inv.slot].prewarm_ready.take() {
             // The arrival landed on an instance pre-restored ahead of
             // it. Memory is up (no boot, no restore burst on the
             // critical path — only the residual wait if the arrival
@@ -797,100 +795,154 @@ impl FleetHost {
             // *prior invocation*: microarchitecturally this is the
             // paper's lukewarm case at full interleaving penalty, and
             // Jukebox replays the snapshot's recorded history.
-            let id = self.fns[slot].live.expect("prewarmed path has a live id");
+            let at = inv.routed.at_ms;
+            let id = self.fns[inv.slot]
+                .live
+                .expect("prewarmed path has a live id");
             self.pool.invoke(id, at).expect("live id is in the pool");
             self.stats.lukewarm_hits += 1;
             self.stats.prewarm_hits += 1;
-            class = StartClass::Lukewarm;
+            inv.class = StartClass::Lukewarm;
             self.stats.degree_sum += 1.0;
-            (ready_ms - at).max(0.0) + model.service_ms(profile, 1.0, jukebox)
+            (ready_ms - at).max(0.0) + inv.model.service_ms(inv.profile, 1.0, inv.jukebox)
         } else {
-            let id = self.fns[slot].live.expect("warm path has a live id");
-            let gap_ms = self.pool.invoke(id, at).expect("live id is in the pool");
-            let elapsed_sec = at / 1000.0;
-            let other_per_sec = if elapsed_sec > 0.0 {
-                let host_rate = self.stats.invocations as f64 / elapsed_sec;
-                let own_rate = self.fns[slot].invocations as f64 / elapsed_sec;
-                (host_rate - own_rate).max(0.0)
-            } else {
-                0.0
-            };
-            let degree = model.degree(other_per_sec, gap_ms);
-            if degree >= model.lukewarm_threshold {
-                self.stats.lukewarm_hits += 1;
-                class = StartClass::Lukewarm;
-            } else {
-                self.stats.warm_hits += 1;
-                class = StartClass::Warm;
-            }
-            self.stats.degree_sum += degree;
-            model.service_ms(profile, degree, jukebox)
+            self.start_warm(inv)
         };
+    }
 
-        // A degraded host is up but slow: thermal throttling or a noisy
-        // neighbour stretches execution, not queueing or restores.
-        if !self.schedule.is_none() && self.schedule.state_at(at) == HostState::Degraded {
-            service_ms *= config.chaos.degrade_slowdown;
-        }
-
-        // Co-residency pressure: when the registered working sets crowd
-        // the host's memory capacity, every page access — execution and
-        // restore faults alike — slows by the contention curve's factor.
-        // A continuous penalty, not a binary cliff.
-        if let Some(tenancy) = self.tenancy.as_mut() {
-            let slowdown = tenancy.slowdown();
-            if slowdown > 1.0 {
-                let before = service_ms + if starts_cold { cold_start_ms } else { 0.0 };
-                service_ms *= slowdown;
-                cold_start_ms *= slowdown;
-                let after = service_ms + if starts_cold { cold_start_ms } else { 0.0 };
-                tenancy.note_slowed(after - before);
+    /// Spawns `function`'s instance at `at` and makes it live, pricing
+    /// its bring-up: the snapshot model's restore of the working set
+    /// (lazy faults or a REAP prefetch of the recorded pages), or the
+    /// flat boot without a snapshot store. The price becomes the
+    /// function's pre-warm lead time. Returns the instance and its price.
+    fn spawn_live(&mut self, slot: usize, function: usize, at: f64, degraded: bool) -> (u64, f64) {
+        let (id, restore_ms) = if degraded && self.pool.snapshots().is_some() {
+            // Memory-pressure rung: restore by lazy paging instead of a
+            // prefetch burst the pressured host can't afford. Pays the
+            // full page count — a pressured host can't count on
+            // co-resident sharing either.
+            let spawned = self.pool.spawn_restored_degraded(function, at);
+            if let Some(ctl) = self.admission.as_mut() {
+                ctl.note_degraded_restore();
             }
-        }
-
-        let costs = AttemptCosts {
-            service_ms,
-            cold_start_ms,
-            timeout_ms: config.timeout_ms,
-            starts_cold,
+            spawned
+        } else {
+            // Pages already resident from co-located same-language
+            // instances come off the restore bill (0 resident — the
+            // disabled path — prices identically to pre-tenancy).
+            let resident = self
+                .tenancy
+                .as_ref()
+                .map_or(0, |t| t.resident_pages(function));
+            self.pool.spawn_restored_shared(function, at, resident)
         };
+        self.go_live(slot, function, id);
+        let state = &mut self.fns[slot];
+        if self.pool.snapshots().is_some() {
+            state.last_restore_ms = restore_ms;
+        }
+        (id, state.last_restore_ms)
+    }
+
+    /// A cold start: spawns and restores the instance. Returns the
+    /// service time.
+    fn start_cold(&mut self, inv: &mut Invocation) -> f64 {
+        let at = inv.routed.at_ms;
+        let function = inv.routed.function;
+        let (id, restore_ms) = self.spawn_live(inv.slot, function, at, inv.degrade_restore);
+        inv.costs.cold_start_ms = restore_ms;
+        self.pool.invoke(id, at);
+        self.stats.cold_starts += 1;
+        // A fresh container has nothing resident: full penalty, and
+        // Jukebox has no prior invocation to replay.
+        inv.model.service_ms(inv.profile, 1.0, false)
+    }
+
+    /// A warm hit: warm or lukewarm by the interleaving degree other
+    /// functions' traffic built up over the idle gap. Returns the
+    /// service time.
+    fn start_warm(&mut self, inv: &mut Invocation) -> f64 {
+        let at = inv.routed.at_ms;
+        let model = inv.model;
+        let id = self.fns[inv.slot].live.expect("warm path has a live id");
+        let gap_ms = self.pool.invoke(id, at).expect("live id is in the pool");
+        let elapsed_sec = at / 1000.0;
+        let other_per_sec = if elapsed_sec > 0.0 {
+            let host_rate = self.stats.invocations as f64 / elapsed_sec;
+            let own_rate = self.fns[inv.slot].invocations as f64 / elapsed_sec;
+            (host_rate - own_rate).max(0.0)
+        } else {
+            0.0
+        };
+        let degree = model.degree(other_per_sec, gap_ms);
+        if degree >= model.lukewarm_threshold {
+            self.stats.lukewarm_hits += 1;
+            inv.class = StartClass::Lukewarm;
+        } else {
+            self.stats.warm_hits += 1;
+            inv.class = StartClass::Warm;
+        }
+        self.stats.degree_sum += degree;
+        model.service_ms(inv.profile, degree, inv.jukebox)
+    }
+
+    /// Contend (chaos, contention): a degraded host is up but slow —
+    /// thermal throttling or a noisy neighbour stretches execution, not
+    /// queueing or restores. When the registered working sets crowd the
+    /// host's memory, every page access — execution and restore faults
+    /// alike — slows by the contention curve's factor: a continuous
+    /// penalty, not a binary cliff.
+    fn contend(&mut self, inv: &mut Invocation) {
+        let costs = &mut inv.costs;
+        if inv.host_state == HostState::Degraded {
+            costs.service_ms *= inv.config.chaos.degrade_slowdown;
+        }
+        let Some(tenancy) = self.tenancy.as_mut() else {
+            return;
+        };
+        let slowdown = tenancy.slowdown();
+        if slowdown > 1.0 {
+            let charged =
+                |c: &AttemptCosts| c.service_ms + if c.starts_cold { c.cold_start_ms } else { 0.0 };
+            let before = charged(costs);
+            costs.service_ms *= slowdown;
+            costs.cold_start_ms *= slowdown;
+            tenancy.note_slowed(charged(costs) - before);
+        }
+    }
+
+    /// Attempt: runs the invocation through the fault layer, which owns
+    /// the retry loop and the fault-free single attempt alike. Returns
+    /// the result and whether an instance crashed on the way.
+    fn attempt(&mut self, inv: &Invocation, scope: &mut SpanScope) -> (InvocationResult, bool) {
         // Reconnect retries already spent their share of the allowance;
         // the fault layer gets what is left (always ≥ 1 attempt here).
         let policy = RetryPolicy {
-            max_attempts: allowed_attempts - down_retries,
-            ..config.retry
+            max_attempts: inv.allowed_attempts - inv.down_retries,
+            ..inv.config.retry
         };
         let crashes_before = self.fault_stats.crashes;
-        // Fast path: with the fault plan disabled nothing can strike (no
-        // eviction, crash, timeout, or retry — none of their streams are
-        // even drawn), and with the span scope disabled no child spans
-        // are recorded. The fault layer would then charge exactly one
-        // clean attempt; replicate it here without the attempt loop.
-        // `0.0 + x == x` bit-exactly for the non-negative costs involved,
-        // so the summed latency matches the layer's running accumulator.
-        let result = if !self.faults.is_enabled() && !scope.is_enabled() {
-            self.fault_stats.completed += 1;
-            InvocationResult {
-                latency_ms: (if starts_cold { costs.cold_start_ms } else { 0.0 })
-                    + costs.service_ms,
-                attempts: 1,
-                completed: true,
-            }
-        } else {
-            self.faults.run_invocation_spanned(
-                &policy,
-                invocation,
-                &costs,
-                &mut self.fault_stats,
-                scope,
-                down_wait_ms,
-            )
-        };
+        let result = self.faults.run_invocation_spanned(
+            &policy,
+            inv.index,
+            &inv.costs,
+            &mut self.fault_stats,
+            scope,
+            inv.down_wait_ms,
+        );
+        (result, self.fault_stats.crashes > crashes_before)
+    }
 
+    /// Settle: reconciles the pool with the attempt's fate, re-keys the
+    /// live instance's keep-alive deadline, and charges the retry budget
+    /// and admission ledger.
+    fn settle(&mut self, inv: &Invocation, result: InvocationResult, crashed: bool) -> Exit {
+        let at = inv.routed.at_ms;
+        let function = inv.routed.function;
+        let slot = inv.slot;
         // Crashes tear the instance down. If the retry layer recovered,
         // its final attempt ran on a fresh spawn; reflect that in the
         // pool. If it gave up, the function has no live instance left.
-        let crashed = self.fault_stats.crashes > crashes_before;
         if let Some(id) = self.fns[slot].live {
             if crashed || !result.completed {
                 self.tear_down(slot, function, id, None);
@@ -907,20 +959,56 @@ impl FleetHost {
             let deadline = at + self.hold_for(function);
             self.push_expiry(slot, function, deadline, FleetEventKind::KeepAliveExpiry);
         }
-
         let fault_retries = result.attempts.saturating_sub(1);
         self.stats.retries += fault_retries;
-        let spent = down_retries + fault_retries;
+        let spent = inv.down_retries + fault_retries;
+        let budget = &inv.config.retry_budget;
         budget.settle(&mut self.fns[slot].retry_tokens, spent, result.completed);
-        let latency_ms = down_wait_ms + result.latency_ms;
+        let latency_ms = inv.down_wait_ms + result.latency_ms;
         if let Some(ctl) = self.admission.as_mut() {
             ctl.commit(at, function, latency_ms);
         }
+        Exit::Retired(latency_ms, result.completed)
+    }
+
+    /// Finish, the one exit: emits the root span, then retires the
+    /// invocation into the totals and either the latency record or, for
+    /// a hedge copy, the side list the merge joins. A shed invocation
+    /// never executed: its root covers only the reconnect wait it burned
+    /// getting here, and it retires nothing (latency 0).
+    fn finish(&mut self, inv: &Invocation, exit: Exit, scope: &mut SpanScope) -> f64 {
+        let routed = inv.routed;
+        let host = self.host_id as u64;
+        let arrival_us = tick_us(routed.at_ms);
+        let Exit::Retired(latency_ms, completed) = exit else {
+            scope.root(inv.down_wait_ms, host, arrival_us);
+            return 0.0;
+        };
         // The root's tick duration equals the histogram's recorded value
         // exactly (same float, same rounding), and the children tiled
         // every contributing window — exact critical-path attribution.
-        scope.root(latency_ms, self.host_id as u64, tick_us(at));
-        self.retire(routed, slot, latency_ms, result.completed, class)
+        scope.root(latency_ms, host, arrival_us);
+        self.stats.invocations += 1;
+        self.fns[inv.slot].invocations += 1;
+        let outcome = HedgeOutcome {
+            dispatch: routed.dispatch,
+            at_ms: routed.at_ms,
+            latency_ms,
+            completed,
+            class: inv.class,
+        };
+        if routed.hedge {
+            self.hedge_outcomes.push(outcome);
+        } else {
+            record_outcome(
+                &mut self.latency_us,
+                &mut self.stats.latency_sum_ms,
+                &mut self.series,
+                inv.config.series_slo_ms,
+                &outcome,
+            );
+        }
+        latency_ms
     }
 
     /// This host's counts as of `end_ms`, the run's last arrival: the

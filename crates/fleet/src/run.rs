@@ -44,7 +44,7 @@ use luke_obs::{Dataset, Export, Histogram, Registry, Snapshot, TimeWindows, Valu
 use crate::chaos::ChaosPlan;
 use crate::config::FleetConfig;
 use crate::health::HealthView;
-use crate::host::{FleetHost, HedgeOutcome, HostTables, RoutedInvocation};
+use crate::host::{record_outcome, FleetHost, HedgeOutcome, HostTables, RoutedInvocation};
 use crate::route::{RouteDecision, Router};
 use crate::stats::{ratio, HostStats};
 use crate::timing::ServiceModel;
@@ -548,15 +548,13 @@ pub fn run_fleet(
     // host-schedule-independent. The time-series records the joined
     // pair the same way: one arrival, one outcome.
     for outcome in hedge_pairs.values() {
-        let latency_us_value = (outcome.latency_ms * 1000.0).round() as u64;
-        latency_us.record(latency_us_value);
-        stats.latency_sum_ms += outcome.latency_ms;
         series.record_arrival(outcome.at_ms);
-        series.record_outcome(
-            outcome.at_ms,
-            latency_us_value,
-            outcome.class,
-            config.series_slo_ms > 0.0 && outcome.latency_ms > config.series_slo_ms,
+        record_outcome(
+            &mut latency_us,
+            &mut stats.latency_sum_ms,
+            &mut series,
+            config.series_slo_ms,
+            outcome,
         );
     }
     // Canonical span order: (trace lane, span id), independent of which

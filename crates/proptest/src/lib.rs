@@ -549,10 +549,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         #[test]
-        fn macro_generates_and_checks(x in 0u64..100, flag in any::<bool>()) {
+        fn macro_generates_and_checks(x in 0u64..100, _flag in any::<bool>()) {
             prop_assert!(x < 100);
-            prop_assert_eq!(flag || !flag, true);
         }
+    }
+
+    #[test]
+    fn any_bool_draws_both_values() {
+        let mut rng = TestRng::for_case("bool", 0);
+        let draws: Vec<bool> = (0..64)
+            .map(|_| Strategy::generate(&any::<bool>(), &mut rng))
+            .collect();
+        assert!(draws.contains(&true), "{draws:?}");
+        assert!(draws.contains(&false), "{draws:?}");
     }
 
     #[test]

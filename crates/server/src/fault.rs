@@ -126,26 +126,18 @@ impl FaultPlan {
     /// A plan that injects nothing and draws no randomness. Running with
     /// this plan is bit-identical to running without a fault layer.
     pub fn none() -> Self {
-        FaultPlan {
-            root: DetRng::new(0),
-            rates: FaultRates::zero(),
-            enabled: false,
-        }
+        FaultPlan::new(0, FaultRates::zero()).expect("zero rates are valid")
     }
 
-    /// Creates a plan, rejecting rates outside `[0, 1]`.
+    /// Creates a plan, rejecting rates outside `[0, 1]`. All-zero rates
+    /// make a plan as inert as [`FaultPlan::none`].
     pub fn new(seed: u64, rates: FaultRates) -> Result<Self, SimError> {
         rates.validate()?;
         Ok(FaultPlan {
             root: DetRng::new(seed),
             rates,
-            enabled: true,
+            enabled: rates != FaultRates::zero(),
         })
-    }
-
-    /// Whether any fault can ever strike.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The plan's rates.
@@ -228,6 +220,25 @@ impl FaultPlan {
         spans: &mut SpanScope<'_>,
         base_ms: f64,
     ) -> InvocationResult {
+        // Short cut: with the plan disabled nothing can strike (no
+        // eviction, crash, timeout or retry — none of their streams are
+        // even drawn), and with the scope disabled no child span is
+        // recorded, so the loop below would charge exactly one clean
+        // attempt. `0.0 + x == x` bit-exactly for the non-negative costs
+        // involved, so the sum matches the loop's running accumulator.
+        if !self.enabled && !spans.is_enabled() {
+            stats.completed += 1;
+            let restore_ms = if costs.starts_cold {
+                costs.cold_start_ms
+            } else {
+                0.0
+            };
+            return InvocationResult {
+                latency_ms: restore_ms + costs.service_ms,
+                attempts: 1,
+                completed: true,
+            };
+        }
         let mut latency_ms = 0.0;
         // A memory-pressure eviction during the idle gap forces a cold
         // start even if the caller expected a warm instance.
@@ -662,7 +673,6 @@ mod tests {
     #[test]
     fn none_plan_never_strikes() {
         let plan = FaultPlan::none();
-        assert!(!plan.is_enabled());
         for kind in FaultKind::ALL {
             for n in 0..1000 {
                 assert!(!plan.strikes(kind, n, 0));
@@ -680,6 +690,69 @@ mod tests {
         assert_eq!(r.latency_ms, 2.0);
         assert_eq!(stats.total_faults(), 0);
         assert_eq!(stats.completed, 1);
+    }
+
+    /// The disabled plan's short cut (taken when the span scope is off
+    /// too) charges exactly what the attempt loop charges with a live
+    /// scope: the same latency bits, attempts and tallies, warm and cold.
+    #[cfg(not(feature = "obs_disabled"))]
+    #[test]
+    fn disabled_plan_short_cut_matches_the_attempt_loop() {
+        let zero_rates = FaultPlan::new(7, FaultRates::zero()).unwrap();
+        let policy = RetryPolicy::default();
+        let services = [0.0, 1e-3, 0.3, 2.0, 17.125, 250.7, 1e4 / 3.0];
+        let restores = [0.0, 0.1, 120.0, 33.3, 1e3 / 7.0];
+        for (n, &service_ms) in services.iter().enumerate() {
+            for (m, &cold_start_ms) in restores.iter().enumerate() {
+                for (plan, starts_cold) in [
+                    (&FaultPlan::none(), false),
+                    (&FaultPlan::none(), true),
+                    (&zero_rates, false),
+                    (&zero_rates, true),
+                ] {
+                    let costs = AttemptCosts {
+                        service_ms,
+                        cold_start_ms,
+                        timeout_ms: 500.0,
+                        starts_cold,
+                    };
+                    let invocation = (n * restores.len() + m) as u64;
+                    let mut short_stats = FaultStats::default();
+                    let mut off = SpanRing::disabled();
+                    let mut scope = SpanScope::new(&mut off, invocation, 4);
+                    assert!(!scope.is_enabled());
+                    let short = plan.run_invocation_spanned(
+                        &policy,
+                        invocation,
+                        &costs,
+                        &mut short_stats,
+                        &mut scope,
+                        1.5,
+                    );
+                    let mut loop_stats = FaultStats::default();
+                    let mut ring = SpanRing::with_capacity(16);
+                    let mut scope = SpanScope::new(&mut ring, invocation, 4);
+                    assert!(scope.is_enabled());
+                    let looped = plan.run_invocation_spanned(
+                        &policy,
+                        invocation,
+                        &costs,
+                        &mut loop_stats,
+                        &mut scope,
+                        1.5,
+                    );
+                    let case = format!("{costs:?}");
+                    assert_eq!(
+                        short.latency_ms.to_bits(),
+                        looped.latency_ms.to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(short, looped, "{case}");
+                    assert_eq!(short_stats, loop_stats, "{case}");
+                    assert!(!ring.spans().is_empty(), "the loop ran: {case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl InstancePool {
 
     /// Attaches a snapshot store so cold starts are priced by its
     /// [`luke_snapshot::ColdStartModel`] via
-    /// [`InstancePool::spawn_restored`]. Without one (or with
+    /// [`InstancePool::spawn_restored_shared`]. Without one (or with
     /// `ColdStartModel::Instant`), restores are free and the pool
     /// behaves bit-for-bit as before.
     pub fn with_snapshots(mut self, snapshots: SnapshotStore) -> Self {
@@ -167,21 +167,10 @@ impl InstancePool {
         id
     }
 
-    /// Like [`InstancePool::spawn`], but also prices the cold start's
-    /// memory bring-up through the attached snapshot store: returns the
-    /// new instance id and the restore latency in milliseconds (0 with
-    /// no store, or under `ColdStartModel::Instant`).
-    pub fn spawn_restored(&mut self, function: usize, now_ms: f64) -> (u64, f64) {
-        let restore_ms = self
-            .snapshots
-            .as_mut()
-            .map_or(0.0, |s| s.restore_ms(function));
-        (self.spawn(function, now_ms), restore_ms)
-    }
-
-    /// Like [`InstancePool::spawn_restored`], but forces the restore onto
-    /// the lazy-paging path — the admission ladder's memory-pressure rung
-    /// skips the prefetch burst on an already-pressured host.
+    /// Like [`InstancePool::spawn_restored_shared`] with nothing
+    /// resident, but forces the restore onto the lazy-paging path — the
+    /// admission ladder's memory-pressure rung skips the prefetch burst
+    /// on an already-pressured host.
     pub fn spawn_restored_degraded(&mut self, function: usize, now_ms: f64) -> (u64, f64) {
         let restore_ms = self
             .snapshots
@@ -190,12 +179,14 @@ impl InstancePool {
         (self.spawn(function, now_ms), restore_ms)
     }
 
-    /// Like [`InstancePool::spawn_restored`], but `resident_pages` of
-    /// the function's working set are already resident on the host —
+    /// Like [`InstancePool::spawn`], but also prices the cold start's
+    /// memory bring-up through the attached snapshot store: returns the
+    /// new instance id and the restore latency in milliseconds (0 with
+    /// no store, or under `ColdStartModel::Instant`). `resident_pages`
+    /// of the function's working set are already resident on the host —
     /// shared pages a co-resident same-language instance brought in
-    /// (the `luke-tenancy` dedup path). The restore skips them:
-    /// smaller REAP prefetch batch, fewer demand faults. With
-    /// `resident_pages = 0` this is exactly `spawn_restored`.
+    /// (the `luke-tenancy` dedup path) — and the restore skips them:
+    /// smaller REAP prefetch batch, fewer demand faults.
     pub fn spawn_restored_shared(
         &mut self,
         function: usize,
@@ -233,22 +224,6 @@ impl InstancePool {
         self.last_invoked_ms[slot] = now_ms;
         self.invocations[slot] += 1;
         Some(gap)
-    }
-
-    /// Finds an existing warm instance of `function`, preferring the most
-    /// recently invoked one (ties go to the highest id, matching the old
-    /// id-ordered map's `max_by`).
-    pub fn find_warm(&self, function: usize) -> Option<WarmInstance> {
-        let mut best: Option<usize> = None;
-        for slot in 0..self.ids.len() {
-            if self.functions[slot] != function {
-                continue;
-            }
-            if best.is_none_or(|b| self.last_invoked_ms[slot] >= self.last_invoked_ms[b]) {
-                best = Some(slot);
-            }
-        }
-        best.map(|slot| self.materialize(slot))
     }
 
     /// Builds the row view of one column slot.
@@ -358,11 +333,6 @@ impl InstancePool {
     /// Number of warm instances.
     pub fn warm_count(&self) -> usize {
         self.ids.len()
-    }
-
-    /// The resident instance ids, ascending.
-    pub fn live_ids(&self) -> &[u64] {
-        &self.ids
     }
 
     /// Instance lookup.
@@ -501,17 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn find_warm_prefers_most_recent() {
-        let mut pool = InstancePool::new(60_000.0);
-        let a = pool.spawn(7, 0.0);
-        let b = pool.spawn(7, 0.0);
-        pool.invoke(a, 100.0);
-        pool.invoke(b, 200.0);
-        assert_eq!(pool.find_warm(7).unwrap().id, b);
-        assert!(pool.find_warm(8).is_none());
-    }
-
-    #[test]
     fn warm_count_and_cold_starts() {
         let mut pool = InstancePool::new(60_000.0);
         for f in 0..5 {
@@ -604,6 +563,12 @@ mod tests {
         // identical round after round.
         let mut by_ids = InstancePool::new(8_000.0);
         let mut by_count = InstancePool::new(8_000.0);
+        // Every instance either pool ever spawned (ids 1..=54), as rows.
+        let survivors = |pool: &InstancePool| {
+            (1..=54)
+                .filter_map(|id| pool.instance(id))
+                .collect::<Vec<_>>()
+        };
         for f in 0..48 {
             let at = (f % 7) as f64 * 900.0;
             by_ids.spawn(f, at);
@@ -619,8 +584,8 @@ mod tests {
             assert_eq!(ids, sorted, "round {round}: id-order eviction");
             assert_eq!(by_ids.expirations(), by_count.expirations());
             assert_eq!(
-                by_ids.live_ids(),
-                by_count.live_ids(),
+                survivors(&by_ids),
+                survivors(&by_count),
                 "round {round}: survivors diverged"
             );
             // Refill a little so later rounds have work to do.
@@ -658,7 +623,7 @@ mod tests {
     #[test]
     fn spawn_restored_without_a_store_is_free() {
         let mut pool = InstancePool::new(60_000.0);
-        let (id, restore_ms) = pool.spawn_restored(3, 10.0);
+        let (id, restore_ms) = pool.spawn_restored_shared(3, 10.0, 0);
         assert_eq!(restore_ms, 0.0);
         assert_eq!(pool.instance(id).unwrap().function, 3);
         assert_eq!(pool.cold_starts(), 1);
@@ -675,8 +640,8 @@ mod tests {
         )
         .unwrap();
         let mut pool = InstancePool::new(60_000.0).with_snapshots(store);
-        let (_, record_ms) = pool.spawn_restored(0, 0.0);
-        let (_, prefetch_ms) = pool.spawn_restored(0, 1.0);
+        let (_, record_ms) = pool.spawn_restored_shared(0, 0.0, 0);
+        let (_, prefetch_ms) = pool.spawn_restored_shared(0, 1.0, 0);
         assert!(
             prefetch_ms < record_ms,
             "REAP replay {prefetch_ms}ms vs record {record_ms}ms"
@@ -712,14 +677,6 @@ mod tests {
         assert_eq!(ids.len(), n);
         assert_eq!(a.expirations(), b.expirations());
         assert_eq!(a.warm_count(), b.warm_count());
-    }
-
-    #[test]
-    fn find_warm_tie_break_is_deterministic() {
-        // Equal last-invocation times: the highest id wins, every run.
-        let mut pool = InstancePool::new(60_000.0);
-        let ids: Vec<u64> = (0..8).map(|_| pool.spawn(3, 500.0)).collect();
-        assert_eq!(pool.find_warm(3).unwrap().id, *ids.last().unwrap());
     }
 
     #[test]
@@ -865,7 +822,7 @@ mod tests {
         )
         .unwrap();
         let mut pool = InstancePool::new(60_000.0).with_snapshots(store);
-        pool.spawn_restored(0, 0.0); // record pass
+        pool.spawn_restored_shared(0, 0.0, 0); // record pass
         let (_, full) = pool.spawn_restored_shared(0, 1.0, 0);
         let (_, discounted) = pool.spawn_restored_shared(0, 2.0, 50);
         assert!(discounted < full, "{discounted} vs {full}");

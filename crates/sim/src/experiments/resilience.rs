@@ -191,11 +191,8 @@ pub fn sweep(
     rates
         .iter()
         .map(|&rate| {
-            let plan = if rate == 0.0 {
-                FaultPlan::none()
-            } else {
-                FaultPlan::new(SEED, FaultRates::uniform(rate)).expect("swept rate in [0, 1]")
-            };
+            let plan =
+                FaultPlan::new(SEED, FaultRates::uniform(rate)).expect("swept rate in [0, 1]");
             RatePoint {
                 rate,
                 modes: vec![
